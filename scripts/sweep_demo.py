@@ -10,7 +10,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from tinyring import find_max_throughput, run_sweep, service_rate
+from tinyring import run_sweep, service_rate
 
 
 def main() -> None:
@@ -18,14 +18,13 @@ def main() -> None:
     print(f"ring {ring}, outputs {outputs}, trace {trace} frames, "
           f"service rate {service_rate(1, outputs)} packets/1000 steps")
     # 128-byte frames so the policer's 100-byte threshold forwards them;
-    # at the 64-byte default it drops every frame and the sweep is all loss
+    # at the 64-byte default it drops every frame and no load is sustainable
     for nf, size in (("identity", 64), ("macswap", 64), ("policer", 128)):
-        best = find_max_throughput(nf, ring, outputs, trace_length=trace,
-                                   packet_size=size)
-        print(f"\n{nf} ({size}-byte frames): max sustainable load {best.offered_load}")
+        rows = run_sweep(nf, ring, outputs, step, trace_length=trace, packet_size=size)
+        # the sweep ends at the knee search's maximum
+        print(f"\n{nf} ({size}-byte frames): max sustainable load {rows[-1].offered_load}")
         print("  load  delivered  lost  loss      p50  p99")
-        for r in run_sweep(nf, ring, outputs, step, trace_length=trace,
-                           packet_size=size):
+        for r in rows:
             print(f"  {r.offered_load:4d}  {r.delivered:9d}  {r.lost:4d}  "
                   f"{r.loss_fraction:.6f}  {r.latency_p50:3d}  {r.latency_p99:3d}")
 

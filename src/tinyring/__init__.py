@@ -15,9 +15,9 @@ from .reference import BufferPool, RefPipeline, ref_init
 from .netfuncs import identity, macswap, make_processor, policer
 from .bench import (CSV_HEADER, DEVICE_BUDGET, DRAIN_ALLOWANCE,
                     SEARCH_GRANULARITY, LoadPoint, LoadPointResult,
-                    PcapFormatError, find_max_throughput, gen_traffic,
-                    parse_pcap, percentile, run_load_point, run_sweep,
-                    service_rate, write_csv)
+                    NoSustainableLoad, PcapFormatError, find_max_throughput,
+                    gen_traffic, parse_pcap, percentile, run_load_point,
+                    run_sweep, service_rate, write_csv)
 
 __version__ = "0.1.0"
 
@@ -27,9 +27,9 @@ __all__ = [
     "Descriptor", "DmaRegion", "FLUSH_PERIOD", "Frame",
     "InvalidRegisterError", "Link", "LoadPoint", "LoadPointResult",
     "MAX_FRAME", "MAX_QUEUES", "META_DD", "META_EOP", "META_LEN_MASK",
-    "META_RS", "MemEnv", "Nic", "NotReadyError", "OutOfMemory",
-    "PcapFormatError", "Processor", "ProtocolViolation", "RECYCLE_PERIOD",
-    "RefPipeline", "RegisterWriteFault", "SEARCH_GRANULARITY",
+    "META_RS", "MemEnv", "Nic", "NoSustainableLoad", "NotReadyError",
+    "OutOfMemory", "PcapFormatError", "Processor", "ProtocolViolation",
+    "RECYCLE_PERIOD", "RefPipeline", "RegisterWriteFault", "SEARCH_GRANULARITY",
     "TranslationFault", "decode_descriptor", "encode_descriptor",
     "find_max_throughput", "forward_trace", "gen_traffic", "identity",
     "macswap", "make_processor", "ownership", "parse_pcap", "percentile",

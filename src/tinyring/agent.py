@@ -112,7 +112,6 @@ class Agent:
         self.processed = 0                      # unwrapped packets fully handled
         self._published = 0                     # unwrapped value last written to the TX tails
         self._rdt_unwrapped = ring_size - 1     # unwrapped value of the RX tail
-        self._earliest = 0                      # min TX head seen by the last recycle
         self._inflight = False
 
     # -- ring protocol ------------------------------------------------------
@@ -194,7 +193,6 @@ class Agent:
             uh = p - ((p - h) & mask)
             if uh < earliest:
                 earliest = uh
-        self._earliest = earliest
         new_tail = earliest - 1 + self.ring_size
         if new_tail <= self._rdt_unwrapped:
             return

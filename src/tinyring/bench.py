@@ -36,6 +36,7 @@ from .nic import DESC_BYTES, MAX_FRAME, Frame, Nic
 DEVICE_BUDGET = 1
 DRAIN_ALLOWANCE = 64        # steps granted past the end of the injection schedule
 SEARCH_GRANULARITY = 16     # load-grid resolution of find_max_throughput
+LOSS_BOUND = 0.001          # loss fraction a sustainable load must stay under
 MAX_LOAD_PER_BUDGET = 1000  # search ceiling: one packet per step per budget unit
 DEFAULT_TRACE_LENGTH = 2000
 DEFAULT_PACKET_SIZE = 64
@@ -177,12 +178,22 @@ def run_load_point(lp: LoadPoint, nf: Processor | str, ring_size: int,
     load = lp.offered_load
     deadline = (n - 1) * 1000 // load + 1 + DRAIN_ALLOWANCE if n else DRAIN_ALLOWANCE
     k = 0
+    idle = 0  # 1 after a step in which nothing at all happened
     while nic.now < deadline:
         while k < n and k * 1000 // load <= nic.now:
             nic.inject_rx(trace[k])
             k += 1
-        nic.step_device(device_budget)
-        agent.poll(processor)
+        worked = nic.step_device(device_budget)
+        if agent.poll(processor) or worked or link.rx_pending:
+            idle = 0
+        elif idle and k < n:
+            # The previous empty poll published any ragged batch and recycled,
+            # and this step still found no work: until the next frame is due,
+            # every step would change nothing but the clock.
+            nic.now = min(k * 1000 // load, deadline)
+            idle = 0
+        else:
+            idle = 1
         if (k == n and not link.rx_pending
                 and agent.processed == link.rx_delivered and agent.quiescent()):
             break  # nothing left that could still emit; the deadline is moot
@@ -198,8 +209,43 @@ def run_load_point(lp: LoadPoint, nf: Processor | str, ring_size: int,
                            percentile(latencies, 50), percentile(latencies, 99))
 
 
+class NoSustainableLoad(ValueError):
+    """No load on the search grid keeps loss under the bound."""
+
+
+def _search_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
+                           loss_bound: float = LOSS_BOUND, *,
+                           packet_size: int = DEFAULT_PACKET_SIZE,
+                           trace_length: int = DEFAULT_TRACE_LENGTH,
+                           seed: int = 0, frames: Sequence[Frame] | None = None,
+                           device_budget: int = DEVICE_BUDGET,
+                           page_size: int | None = None,
+                           granularity: int = SEARCH_GRANULARITY,
+                           ) -> tuple[LoadPoint, dict[int, LoadPointResult]]:
+    """find_max_throughput, plus every result it measured on the way, by load."""
+    if frames is None:
+        frames = gen_traffic(trace_length, packet_size, seed)
+    measured: dict[int, LoadPointResult] = {}
+    ceiling = MAX_LOAD_PER_BUDGET * device_budget
+    lo, hi = 0, ceiling // granularity
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lp = LoadPoint(mid * granularity, packet_size, trace_length)
+        res = run_load_point(lp, nf, ring_size, num_outputs, frames=frames,
+                             device_budget=device_budget, page_size=page_size)
+        measured[lp.offered_load] = res
+        if res.loss_fraction < loss_bound:
+            lo = mid
+        else:
+            hi = mid - 1
+    if lo == 0:
+        raise NoSustainableLoad(f"no load on the {granularity}-wide grid up to "
+                                f"{ceiling} keeps loss under {loss_bound}")
+    return LoadPoint(lo * granularity, packet_size, trace_length), measured
+
+
 def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
-                        loss_bound: float = 0.001, *,
+                        loss_bound: float = LOSS_BOUND, *,
                         packet_size: int = DEFAULT_PACKET_SIZE,
                         trace_length: int = DEFAULT_TRACE_LENGTH,
                         seed: int = 0, frames: Sequence[Frame] | None = None,
@@ -209,20 +255,13 @@ def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
     """Largest load on the granularity grid whose loss stays under the bound.
 
     Binary search; sound because loss is non-decreasing in offered load for
-    a fixed seed and configuration.
+    a fixed seed and configuration. Raises NoSustainableLoad when even the
+    lowest grid load loses too much.
     """
-    ceiling = MAX_LOAD_PER_BUDGET * device_budget
-    lo, hi = 0, ceiling // granularity
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        lp = LoadPoint(mid * granularity, packet_size, trace_length)
-        res = run_load_point(lp, nf, ring_size, num_outputs, seed=seed, frames=frames,
-                             device_budget=device_budget, page_size=page_size)
-        if res.loss_fraction < loss_bound:
-            lo = mid
-        else:
-            hi = mid - 1
-    return LoadPoint(max(lo, 1) * granularity, packet_size, trace_length)
+    return _search_max_throughput(nf, ring_size, num_outputs, loss_bound,
+                                  packet_size=packet_size, trace_length=trace_length,
+                                  seed=seed, frames=frames, device_budget=device_budget,
+                                  page_size=page_size, granularity=granularity)[0]
 
 
 def run_sweep(nf: Processor | str, ring_size: int, num_outputs: int, step: int, *,
@@ -234,21 +273,27 @@ def run_sweep(nf: Processor | str, ring_size: int, num_outputs: int, step: int, 
     """Load points from step up to the discovered maximum, inclusive.
 
     The maximum is appended as a final point when it is not a multiple of
-    the step.
+    the step. Points the search already measured are not run again.
     """
     if step < 1:
         raise ValueError(f"sweep step must be positive, got {step}")
-    best = find_max_throughput(nf, ring_size, num_outputs,
-                               packet_size=packet_size, trace_length=trace_length,
-                               seed=seed, frames=frames, device_budget=device_budget,
-                               page_size=page_size)
+    if frames is None:
+        frames = gen_traffic(trace_length, packet_size, seed)
+    best, measured = _search_max_throughput(nf, ring_size, num_outputs,
+                                            packet_size=packet_size,
+                                            trace_length=trace_length, frames=frames,
+                                            device_budget=device_budget,
+                                            page_size=page_size)
     loads = list(range(step, best.offered_load + 1, step))
     if not loads or loads[-1] != best.offered_load:
         loads.append(best.offered_load)
-    return [run_load_point(LoadPoint(load, packet_size, trace_length), nf,
-                           ring_size, num_outputs, seed=seed, frames=frames,
-                           device_budget=device_budget, page_size=page_size)
-            for load in loads]
+    for load in loads:
+        if load not in measured:
+            measured[load] = run_load_point(
+                LoadPoint(load, packet_size, trace_length), nf, ring_size,
+                num_outputs, frames=frames, device_budget=device_budget,
+                page_size=page_size)
+    return [measured[load] for load in loads]
 
 
 def write_csv(results: Iterable[LoadPointResult], destination: str | IO[str]) -> None:

@@ -10,8 +10,8 @@ import argparse
 import os
 import sys
 
-from .bench import (PcapFormatError, find_max_throughput, parse_pcap,
-                    run_load_point, run_sweep, write_csv)
+from .bench import (PcapFormatError, _search_max_throughput, parse_pcap,
+                    run_sweep, write_csv)
 from .netfuncs import make_processor
 
 
@@ -72,9 +72,9 @@ def main(argv: list[str] | None = None) -> int:
         common = dict(packet_size=args.packet_size, trace_length=trace_length,
                       seed=args.seed, frames=frames, page_size=page_size)
         if args.max_only:
-            best = find_max_throughput(nf, args.ring_size, args.outputs, **common)
-            result = run_load_point(best, nf, args.ring_size, args.outputs,
-                                    seed=args.seed, frames=frames, page_size=page_size)
+            best, measured = _search_max_throughput(nf, args.ring_size, args.outputs,
+                                                    **common)
+            result = measured[best.offered_load]
             write_csv([result], args.csv)
             print(f"max load {best.offered_load} packets per 1000 steps "
                   f"(loss {result.loss_fraction:.6f}, p50 {result.latency_p50}, "

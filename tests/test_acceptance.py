@@ -269,5 +269,5 @@ def test_c10_performance_smoke():
     rate = done / elapsed
     verdict = "meets" if rate >= 1_000_000 else "below"
     print(f"\nC10 performance smoke: PASS (reported, non-gating: {rate:,.0f} "
-          f"packets/s, {verdict} the 1,000,000/s aspiration; scripts/perf_smoke.py "
-          f"for the long run)")
+          f"packets/s, {verdict} the 1,000,000/s aspiration; perfbench/run.py "
+          f"--workload burst_64b for the long run)")

@@ -4,11 +4,14 @@ import io
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tinyring import (CSV_HEADER, SEARCH_GRANULARITY, Frame, LoadPoint,
-                      LoadPointResult, PcapFormatError, find_max_throughput,
-                      gen_traffic, parse_pcap, percentile, run_load_point,
-                      run_sweep, service_rate, write_csv)
+from tinyring import (CSV_HEADER, DRAIN_ALLOWANCE, SEARCH_GRANULARITY, Agent,
+                      Frame, LoadPoint, LoadPointResult, MemEnv, Nic,
+                      NoSustainableLoad, PcapFormatError, find_max_throughput,
+                      gen_traffic, make_processor, parse_pcap, percentile,
+                      run_load_point, run_sweep, service_rate, write_csv)
 from tinyring.cli import main
 
 GLOBAL_HEADER = struct.Struct("<IHHiIII")
@@ -184,7 +187,87 @@ class TestRunLoadPoint:
         assert all(f.inject_time is None for f in frames)
 
 
+def naive_load_point(lp, nf, ring_size, num_outputs, frames, device_budget):
+    """The plain lockstep loop: inject what is due, step, poll, every step.
+
+    Returns the result and the frames emitted on output 0, stamps included.
+    """
+    trace = [Frame(f.payload) for f in frames]
+    n = len(trace)
+    env = MemEnv()
+    nic = Nic(env, num_outputs)
+    agent = Agent(env, nic, ring_size, num_outputs)
+    processor = make_processor(nf)
+    load = lp.offered_load
+    deadline = (n - 1) * 1000 // load + 1 + DRAIN_ALLOWANCE
+    k = 0
+    while nic.now < deadline:
+        while k < n and k * 1000 // load <= nic.now:
+            nic.inject_rx(trace[k])
+            k += 1
+        nic.step_device(device_budget)
+        agent.poll(processor)
+        if (k == n and not nic.link.rx_pending
+                and agent.processed == nic.link.rx_delivered and agent.quiescent()):
+            break
+    emitted = nic.drain_tx(0)
+    warm = n // 10
+    got = [f for f in emitted if f.order >= warm]
+    latencies = [f.drain_time - f.inject_time for f in got]
+    lost = n - warm - len(got)
+    result = LoadPointResult(load, len(got), lost, lost / (n - warm),
+                             percentile(latencies, 50), percentile(latencies, 99))
+    return result, emitted
+
+
+def stamps(frames):
+    return [(f.order, f.inject_time, f.drain_time, f.payload) for f in frames]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_load_point_matches_naive_lockstep_loop(data):
+    # run_load_point skips steps in which nothing can happen; every frame it
+    # emits must still carry the stamps the step-by-step loop gives it. The
+    # stamps are compared, not just the result: injecting an isolated frame
+    # one step late moves both of its stamps and leaves its latency alone.
+    load = data.draw(st.one_of(st.integers(1, 60), st.integers(1, 1200),
+                               st.integers(1, 4000)), label="load")
+    ring = data.draw(st.sampled_from([2, 4, 8, 64, 256]), label="ring")
+    outputs = data.draw(st.integers(1, 4), label="outputs")
+    budget = data.draw(st.integers(1, 4), label="budget")
+    nf = data.draw(st.sampled_from(["identity", "macswap", "policer"]), label="nf")
+    size = data.draw(st.integers(12, 1500), label="size")
+    n = data.draw(st.integers(1, 120), label="trace length")
+    lp = LoadPoint(load, size, n)
+    frames = data.draw(st.one_of(
+        st.none(),
+        st.lists(st.binary(min_size=1, max_size=300), min_size=1, max_size=120)
+        .map(lambda ps: [Frame(p) for p in ps])), label="frames")
+    drained = []
+    with pytest.MonkeyPatch.context() as mp:
+        def drain_tx(self, queue, _drain=Nic.drain_tx):
+            out = _drain(self, queue)
+            drained.append(stamps(out))
+            return out
+        mp.setattr(Nic, "drain_tx", drain_tx)
+        got = run_load_point(lp, nf, ring, outputs, seed=3, frames=frames,
+                             device_budget=budget)
+    want, emitted = naive_load_point(
+        lp, nf, ring, outputs,
+        frames if frames is not None else gen_traffic(n, size, 3), budget)
+    assert got == want
+    assert drained == [stamps(emitted)]
+
+
 class TestFindMax:
+    def test_no_sustainable_load_raises(self):
+        # the policer zeroes every 64-byte frame, so every load loses it all
+        with pytest.raises(NoSustainableLoad):
+            find_max_throughput("policer", 256, 1, trace_length=200)
+        with pytest.raises(ValueError):
+            run_sweep("policer", 256, 1, 100, trace_length=200)
+
     def test_unbounded_loss_reaches_grid_top(self):
         lp = find_max_throughput("identity", 256, 1, loss_bound=1.0,
                                  trace_length=400)
@@ -218,6 +301,22 @@ class TestRunSweep:
         results = run_sweep("identity", 256, 1, 300, trace_length=400)
         best = find_max_throughput("identity", 256, 1, trace_length=400)
         assert results[-1].offered_load == best.offered_load
+
+    @pytest.mark.parametrize("nf, ring, outputs, step, size, budget", [
+        ("identity", 256, 1, 100, 64, 1),
+        ("macswap", 8, 2, 70, 64, 1),
+        ("policer", 64, 3, 150, 128, 3),
+    ])
+    def test_rows_are_single_load_points(self, nf, ring, outputs, step, size, budget):
+        # rows reused from the knee search equal a fresh measurement
+        kw = dict(packet_size=size, trace_length=300, seed=4, device_budget=budget)
+        results = run_sweep(nf, ring, outputs, step, **kw)
+        assert results == [
+            run_load_point(LoadPoint(r.offered_load, size, 300), nf, ring, outputs,
+                           seed=4, device_budget=budget)
+            for r in results]
+        assert results[-1].offered_load == find_max_throughput(
+            nf, ring, outputs, **kw).offered_load
 
 
 class TestWriteCsv:
@@ -271,8 +370,15 @@ class TestCli:
 
     def test_named_nfs(self, tmp_path):
         for nf in ("macswap", "policer"):
-            code, _ = self.run_ok(tmp_path, "--nf", nf, "--max-only")
+            code, _ = self.run_ok(tmp_path, "--nf", nf, "--max-only",
+                                  "--packet-size", "128")
             assert code == 0
+
+    def test_no_sustainable_load_is_invalid_argument(self, tmp_path, capsys):
+        for mode in ((), ("--max-only",)):
+            code, _ = self.run_ok(tmp_path, "--nf", "policer", *mode)
+            assert code == 1
+            assert "keeps loss under" in capsys.readouterr().err
 
     def test_pcap_replay(self, tmp_path):
         cap = tmp_path / "trace.pcap"
