@@ -9,8 +9,8 @@ from .nic import (DESC_BYTES, MAX_FRAME, MAX_QUEUES, META_DD, META_EOP,
                   InvalidRegisterError, Link, Nic, NotReadyError,
                   RegisterWriteFault, decode_descriptor, encode_descriptor,
                   ownership)
-from .agent import (FLUSH_PERIOD, RECYCLE_PERIOD, Agent, Processor,
-                    ProtocolViolation, forward_trace)
+from .agent import (FLUSH_PERIOD, RECYCLE_PERIOD, Agent, PipelineStalled,
+                    Processor, ProtocolViolation, build_pipeline, forward_trace)
 from .reference import BufferPool, RefPipeline, ref_init
 from .netfuncs import identity, macswap, make_processor, policer
 from .bench import (CSV_HEADER, DEVICE_BUDGET, DRAIN_ALLOWANCE,
@@ -28,9 +28,10 @@ __all__ = [
     "InvalidRegisterError", "Link", "LoadPoint", "LoadPointResult",
     "MAX_FRAME", "MAX_QUEUES", "META_DD", "META_EOP", "META_LEN_MASK",
     "META_RS", "MemEnv", "Nic", "NoSustainableLoad", "NotReadyError",
-    "OutOfMemory", "PcapFormatError", "Processor", "ProtocolViolation",
-    "RECYCLE_PERIOD", "RefPipeline", "RegisterWriteFault", "SEARCH_GRANULARITY",
-    "TranslationFault", "decode_descriptor", "encode_descriptor",
+    "OutOfMemory", "PcapFormatError", "PipelineStalled", "Processor",
+    "ProtocolViolation", "RECYCLE_PERIOD", "RefPipeline",
+    "RegisterWriteFault", "SEARCH_GRANULARITY", "TranslationFault",
+    "build_pipeline", "decode_descriptor", "encode_descriptor",
     "find_max_throughput", "forward_trace", "gen_traffic", "identity",
     "macswap", "make_processor", "ownership", "parse_pcap", "percentile",
     "policer", "ref_init", "run_load_point", "run_sweep", "service_rate",

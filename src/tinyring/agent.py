@@ -26,15 +26,23 @@ When a receive poll comes up empty the agent publishes and recycles
 immediately instead; without that, a ragged batch at the end of a burst
 would sit unpublished forever and rings no larger than the recycle period
 would wedge.
+
+There is one driver loop, forward_trace: inject, step the device, poll,
+in lockstep. Only injection varies. It is flow-controlled by default (the
+next frame enters once the wire is clear and a receive slot is free) or
+timed (frame k enters at step due[k], which is how the bench offers load).
+Agent.run is the same loop over frames already on the wire. A pipeline
+that can no longer move, such as one with a stopped transmit queue, raises
+PipelineStalled instead of spinning. build_pipeline makes the memory
+environment, device and agent that every caller of the loop needs.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import deque
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .mem import MemEnv
+from .mem import DEFAULT_PAGE_SIZE, MemEnv
 from .nic import (DESC_BYTES, MAX_FRAME, META_DD, META_EOP, META_LEN_MASK,
                   META_RS, Frame, Nic)
 
@@ -54,6 +62,10 @@ _U32 = struct.Struct("<I")
 
 class ProtocolViolation(Exception):
     """receive and transmit were not strictly alternated."""
+
+
+class PipelineStalled(RuntimeError):
+    """Work is in flight but no step can ever make progress on it."""
 
 
 class Agent:
@@ -230,57 +242,105 @@ class Agent:
                    for q in range(self.num_outputs))
 
     def finish(self, device_budget: int = 1) -> None:
-        """Publish everything still pending and step the device until it drains."""
+        """Publish everything still pending and step the device until it drains.
+
+        Raises PipelineStalled if a step retires nothing first: without
+        software action no later step could retire anything either.
+        """
         self._flush(mark_rs=True)
         nic = self.nic
         while not self.quiescent():
-            nic.step_device(device_budget)
+            if not nic.step_device(device_budget):
+                raise PipelineStalled(f"step {nic.now}: submitted packets can never drain "
+                                      f"(is a transmit queue stopped?)")
         self.recycle()
 
-    def run(self, processor: Processor, max_packets: int,
-            device_budget: int = 1, idle_budget: int | None = None) -> int:
-        """Lockstep forwarding loop: step the device, then poll.
+    def run(self, processor: Processor, max_packets: int, device_budget: int = 1) -> int:
+        """Forward frames already on the wire, then drain all submitted work.
 
-        Stops after max_packets packets or after idle_budget consecutive
-        empty polls, then drains all submitted work. Returns the number of
-        packets processed by this call.
+        The forward_trace loop with nothing to inject: stops after
+        max_packets packets, or once the wire is empty and every delivered
+        packet has been forwarded. Returns the number of packets processed
+        by this call.
         """
-        if idle_budget is None:
-            idle_budget = 64 + 4 * (1 + self.num_outputs) * self.ring_size
-        nic = self.nic
-        count = 0
-        idle = 0
-        while count < max_packets and idle < idle_budget:
-            nic.step_device(device_budget)
-            if self.poll(processor):
-                count += 1
-                idle = 0
-            else:
-                idle += 1
+        count = (forward_trace(self, (), processor, device_budget, max_packets=max_packets)
+                 if max_packets > 0 else 0)
         self.finish(device_budget)
         return count
 
 
-def forward_trace(agent: Agent, frames: Iterable[Frame], processor: Processor,
-                  device_budget: int = 1) -> int:
-    """Feed frames through the agent with ingress flow control.
+def build_pipeline(ring_size: int, num_outputs: int = 1,
+                   flush_period: int = FLUSH_PERIOD,
+                   recycle_period: int = RECYCLE_PERIOD) -> tuple[MemEnv, Nic, Agent]:
+    """A fresh environment, device and agent over an arena sized to fit them.
 
-    The next frame enters the wire only when the previous one has been taken
-    off it and a device-owned receive slot is free, so the device never
-    drops for lack of descriptors, whatever the ring size. Runs to
-    quiescence and returns the number of packets processed.
+    The arena holds the descriptor rings, one buffer per slot and the head
+    write-back words, plus one page of rounding slack per allocated region.
+    """
+    need = ((1 + num_outputs) * ring_size * DESC_BYTES
+            + ring_size * MAX_FRAME + 4 * num_outputs)
+    env = MemEnv(arena_size=need + (3 + num_outputs) * DEFAULT_PAGE_SIZE)
+    nic = Nic(env, num_outputs)
+    return env, nic, Agent(env, nic, ring_size, num_outputs, flush_period, recycle_period)
+
+
+def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
+                  device_budget: int = 1, *, due: Sequence[int] | None = None,
+                  deadline: int | None = None, max_packets: int | None = None) -> int:
+    """The lockstep driver loop: inject what is due, step the device, poll.
+
+    With due None, injection is flow-controlled: the next frame enters the
+    wire only when the previous one has been taken off it and a
+    device-owned receive slot is free, so the device never drops for lack
+    of descriptors, whatever the ring size. Otherwise frame k enters the
+    wire at step due[k] (non-decreasing), whether or not the ring has room.
+
+    Runs until every frame is off the wire, every delivered packet has been
+    processed and the agent is quiescent; stops early when the clock
+    reaches deadline or after max_packets packets. Returns the number of
+    packets processed.
+
+    Two steps in a row in which the device retires nothing and the poll
+    finds nothing leave every later step unchanged until a frame enters:
+    the first empty poll already published and recycled. The loop then
+    moves the clock straight to the next due frame, or raises
+    PipelineStalled when no frame can enter.
     """
     nic = agent.nic
     link = nic.link
-    todo = deque(frames)
+    wire = link.rx_pending
+    n = len(frames)
+    k = 0
     count = 0
-    while True:
-        if todo and not link.rx_pending and nic.reg_read("RDH") != nic.reg_read("RDT"):
-            nic.inject_rx(todo.popleft())
-        nic.step_device(device_budget)
+    idle = False  # the last step retired nothing and its poll found nothing
+    while deadline is None or nic.now < deadline:
+        if k < n:
+            if due is None:
+                if not wire and nic.reg_read("RDH") != nic.reg_read("RDT"):
+                    nic.inject_rx(frames[k])
+                    k += 1
+            else:
+                while k < n and due[k] <= nic.now:
+                    nic.inject_rx(frames[k])
+                    k += 1
+        worked = nic.step_device(device_budget)
         if agent.poll(processor):
             count += 1
-        if not todo and not link.rx_pending and agent.processed == link.rx_delivered:
+            if count == max_packets:
+                break
+            idle = False
+        elif worked:
+            idle = False
+        elif not idle:
+            idle = True
+        elif due is not None and k < n:
+            nic.now = due[k] if deadline is None else min(due[k], deadline)
+            idle = False
+        else:
+            raise PipelineStalled(f"step {nic.now}: nothing can move with {agent.processed} "
+                                  f"packets processed and {n - k} frames not injected "
+                                  f"(is a queue stopped?)")
+        if (k == n and not wire and agent.processed == link.rx_delivered
+                and agent.quiescent()):
             break
-    agent.finish(device_budget)
     return count

@@ -28,10 +28,9 @@ import struct
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .agent import Agent, Processor
-from .mem import DEFAULT_PAGE_SIZE, MemEnv
+from .agent import Processor, build_pipeline, forward_trace
 from .netfuncs import make_processor
-from .nic import DESC_BYTES, MAX_FRAME, Frame, Nic
+from .nic import MAX_FRAME, Frame
 
 DEVICE_BUDGET = 1
 DRAIN_ALLOWANCE = 64        # steps granted past the end of the injection schedule
@@ -145,22 +144,10 @@ def parse_pcap(data: bytes) -> list[Frame]:
 
 # -- measurement --------------------------------------------------------------
 
-def _build_pipeline(ring_size: int, num_outputs: int,
-                    page_size: int | None) -> tuple[MemEnv, Nic, Agent]:
-    ps = page_size if page_size is not None else DEFAULT_PAGE_SIZE
-    need = ((1 + num_outputs) * ring_size * DESC_BYTES
-            + ring_size * MAX_FRAME + 4 * num_outputs)
-    # one page of rounding slack per region
-    env = MemEnv(arena_size=need + (3 + num_outputs) * ps, page_size=ps)
-    nic = Nic(env, num_outputs)
-    return env, nic, Agent(env, nic, ring_size, num_outputs)
-
-
 def run_load_point(lp: LoadPoint, nf: Processor | str, ring_size: int,
                    num_outputs: int, *, seed: int = 0,
                    frames: Sequence[Frame] | None = None,
-                   device_budget: int = DEVICE_BUDGET,
-                   page_size: int | None = None) -> LoadPointResult:
+                   device_budget: int = DEVICE_BUDGET) -> LoadPointResult:
     """Measure one load point on a fresh pipeline.
 
     frames, when given, replace the generated trace (sizes and payloads of
@@ -173,30 +160,11 @@ def run_load_point(lp: LoadPoint, nf: Processor | str, ring_size: int,
         # fresh Frame objects: injection stamps them, runs must not alias
         trace = [Frame(f.payload) for f in frames]
     n = len(trace)
-    _env, nic, agent = _build_pipeline(ring_size, num_outputs, page_size)
-    link = nic.link
+    _env, nic, agent = build_pipeline(ring_size, num_outputs)
     load = lp.offered_load
     deadline = (n - 1) * 1000 // load + 1 + DRAIN_ALLOWANCE if n else DRAIN_ALLOWANCE
-    k = 0
-    idle = 0  # 1 after a step in which nothing at all happened
-    while nic.now < deadline:
-        while k < n and k * 1000 // load <= nic.now:
-            nic.inject_rx(trace[k])
-            k += 1
-        worked = nic.step_device(device_budget)
-        if agent.poll(processor) or worked or link.rx_pending:
-            idle = 0
-        elif idle and k < n:
-            # The previous empty poll published any ragged batch and recycled,
-            # and this step still found no work: until the next frame is due,
-            # every step would change nothing but the clock.
-            nic.now = min(k * 1000 // load, deadline)
-            idle = 0
-        else:
-            idle = 1
-        if (k == n and not link.rx_pending
-                and agent.processed == link.rx_delivered and agent.quiescent()):
-            break  # nothing left that could still emit; the deadline is moot
+    forward_trace(agent, trace, processor, device_budget,
+                  due=[k * 1000 // load for k in range(n)], deadline=deadline)
 
     warm = n // WARMUP_FRACTION
     measured = n - warm
@@ -219,7 +187,6 @@ def _search_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int
                            trace_length: int = DEFAULT_TRACE_LENGTH,
                            seed: int = 0, frames: Sequence[Frame] | None = None,
                            device_budget: int = DEVICE_BUDGET,
-                           page_size: int | None = None,
                            granularity: int = SEARCH_GRANULARITY,
                            ) -> tuple[LoadPoint, dict[int, LoadPointResult]]:
     """find_max_throughput, plus every result it measured on the way, by load."""
@@ -232,7 +199,7 @@ def _search_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int
         mid = (lo + hi + 1) // 2
         lp = LoadPoint(mid * granularity, packet_size, trace_length)
         res = run_load_point(lp, nf, ring_size, num_outputs, frames=frames,
-                             device_budget=device_budget, page_size=page_size)
+                             device_budget=device_budget)
         measured[lp.offered_load] = res
         if res.loss_fraction < loss_bound:
             lo = mid
@@ -250,7 +217,6 @@ def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
                         trace_length: int = DEFAULT_TRACE_LENGTH,
                         seed: int = 0, frames: Sequence[Frame] | None = None,
                         device_budget: int = DEVICE_BUDGET,
-                        page_size: int | None = None,
                         granularity: int = SEARCH_GRANULARITY) -> LoadPoint:
     """Largest load on the granularity grid whose loss stays under the bound.
 
@@ -261,15 +227,14 @@ def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
     return _search_max_throughput(nf, ring_size, num_outputs, loss_bound,
                                   packet_size=packet_size, trace_length=trace_length,
                                   seed=seed, frames=frames, device_budget=device_budget,
-                                  page_size=page_size, granularity=granularity)[0]
+                                  granularity=granularity)[0]
 
 
 def run_sweep(nf: Processor | str, ring_size: int, num_outputs: int, step: int, *,
               packet_size: int = DEFAULT_PACKET_SIZE,
               trace_length: int = DEFAULT_TRACE_LENGTH,
               seed: int = 0, frames: Sequence[Frame] | None = None,
-              device_budget: int = DEVICE_BUDGET,
-              page_size: int | None = None) -> list[LoadPointResult]:
+              device_budget: int = DEVICE_BUDGET) -> list[LoadPointResult]:
     """Load points from step up to the discovered maximum, inclusive.
 
     The maximum is appended as a final point when it is not a multiple of
@@ -282,8 +247,7 @@ def run_sweep(nf: Processor | str, ring_size: int, num_outputs: int, step: int, 
     best, measured = _search_max_throughput(nf, ring_size, num_outputs,
                                             packet_size=packet_size,
                                             trace_length=trace_length, frames=frames,
-                                            device_budget=device_budget,
-                                            page_size=page_size)
+                                            device_budget=device_budget)
     loads = list(range(step, best.offered_load + 1, step))
     if not loads or loads[-1] != best.offered_load:
         loads.append(best.offered_load)
@@ -291,8 +255,7 @@ def run_sweep(nf: Processor | str, ring_size: int, num_outputs: int, step: int, 
         if load not in measured:
             measured[load] = run_load_point(
                 LoadPoint(load, packet_size, trace_length), nf, ring_size,
-                num_outputs, frames=frames, device_budget=device_budget,
-                page_size=page_size)
+                num_outputs, frames=frames, device_budget=device_budget)
     return [measured[load] for load in loads]
 
 

@@ -7,7 +7,6 @@ Exit codes: 0 on success, 1 for malformed input or invalid arguments
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .bench import (PcapFormatError, _search_max_throughput, parse_pcap,
@@ -53,14 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        page_size = None
-        raw = os.environ.get("TINYRING_PAGE_SIZE")
-        if raw is not None:
-            try:
-                page_size = int(raw)
-            except ValueError:
-                raise ValueError(f"TINYRING_PAGE_SIZE must be an integer, got {raw!r}") from None
-
         nf = make_processor(args.nf, min_len=args.policer_min_len)
         frames = None
         trace_length = args.packets
@@ -70,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
             trace_length = len(frames)
 
         common = dict(packet_size=args.packet_size, trace_length=trace_length,
-                      seed=args.seed, frames=frames, page_size=page_size)
+                      seed=args.seed, frames=frames)
         if args.max_only:
             best, measured = _search_max_throughput(nf, args.ring_size, args.outputs,
                                                     **common)

@@ -17,9 +17,10 @@ Register file (all values unsigned 32-bit, ring lengths in descriptors):
                              TDWBA  head write-back address (0 = off)
 
 Ring lengths are powers of two in [2, 65536]; bases are physical, 16-byte
-aligned. Heads are device-owned once the ring is enabled: software writes
-then fault. The device owns the descriptors in the modular interval
-[head, tail), so head == tail means it owns nothing.
+aligned. Head, base and length are device-owned while the ring is
+enabled: software writes then fault, so the geometry the enable checked
+is the geometry the device uses. The device owns the descriptors in the
+modular interval [head, tail), so head == tail means it owns nothing.
 
 Descriptor wire format, 16 bytes little-endian: a u64 buffer physical
 address, then a u64 metadata word with the byte length in bits [15:0],
@@ -144,11 +145,17 @@ class Link:
         self.buffer_meta: dict[int, tuple[int | None, int | None]] = {}
 
 
+class _Ring:
+    """Register state of one descriptor ring; enabled is 0 or 1."""
+
+    __slots__ = ("base", "length", "head", "tail", "enabled", "wb")
+
+    def __init__(self) -> None:
+        self.base = self.length = self.head = self.tail = self.enabled = self.wb = 0
+
+
 class Nic:
     """The device model. One receive ring, num_tx_queues transmit rings."""
-
-    _RX_REGS = frozenset({"RDBA", "RDLEN", "RDH", "RDT", "RXEN"})
-    _TX_REGS = frozenset({"TDBA", "TDLEN", "TDH", "TDT", "TDWBA", "TXEN"})
 
     def __init__(self, env: MemEnv, num_tx_queues: int = 1) -> None:
         if not 1 <= num_tx_queues <= MAX_QUEUES:
@@ -159,102 +166,57 @@ class Nic:
         self.num_tx_queues = num_tx_queues
         self.now = 0
         self.link = Link(num_tx_queues)
-        n = num_tx_queues
-        self._rdba = 0
-        self._rdlen = 0
-        self._rdh = 0
-        self._rdt = 0
-        self._rxen = False
-        self._tdba = [0] * n
-        self._tdlen = [0] * n
-        self._tdh = [0] * n
-        self._tdt = [0] * n
-        self._tdwba = [0] * n
-        self._txen = [False] * n
+        self._rx = _Ring()
+        self._tx = [_Ring() for _ in range(num_tx_queues)]
+        # (register name, queue) -> (ring, field): the whole register file
+        self._regs: dict[tuple[str, int], tuple[_Ring, str]] = {
+            (reg, 0): (self._rx, field) for reg, field in (
+                ("RDBA", "base"), ("RDLEN", "length"), ("RDH", "head"),
+                ("RDT", "tail"), ("RXEN", "enabled"))}
+        for q, ring in enumerate(self._tx):
+            for reg, field in (("TDBA", "base"), ("TDLEN", "length"), ("TDH", "head"),
+                               ("TDT", "tail"), ("TXEN", "enabled"), ("TDWBA", "wb")):
+                self._regs[reg, q] = (ring, field)
         # round-robin cursor over service classes: 0 is RX, 1 + q is TX q
         self._rr = 0
 
     # -- register file ----------------------------------------------------
 
-    def _check_reg(self, reg: str, queue: int) -> None:
-        if reg in self._RX_REGS:
-            if queue != 0:
-                raise InvalidRegisterError(f"{reg} exists for queue 0 only, got {queue}")
-        elif reg in self._TX_REGS:
-            if not 0 <= queue < self.num_tx_queues:
-                raise InvalidRegisterError(
-                    f"{reg}({queue}): device has {self.num_tx_queues} transmit queues")
-        else:
-            raise InvalidRegisterError(f"unknown register {reg!r}")
+    def _no_register(self, reg: str, queue: int) -> InvalidRegisterError:
+        return InvalidRegisterError(f"no register {reg}({queue}) on a device with "
+                                    f"{self.num_tx_queues} transmit queues")
 
     def reg_read(self, reg: str, queue: int = 0) -> int:
-        self._check_reg(reg, queue)
-        if reg == "RDBA":
-            return self._rdba
-        if reg == "RDLEN":
-            return self._rdlen
-        if reg == "RDH":
-            return self._rdh
-        if reg == "RDT":
-            return self._rdt
-        if reg == "RXEN":
-            return int(self._rxen)
-        if reg == "TDBA":
-            return self._tdba[queue]
-        if reg == "TDLEN":
-            return self._tdlen[queue]
-        if reg == "TDH":
-            return self._tdh[queue]
-        if reg == "TDT":
-            return self._tdt[queue]
-        if reg == "TDWBA":
-            return self._tdwba[queue]
-        return int(self._txen[queue])  # TXEN
+        try:
+            ring, field = self._regs[reg, queue]
+        except KeyError:
+            raise self._no_register(reg, queue) from None
+        return getattr(ring, field)
 
     def reg_write(self, reg: str, value: int, queue: int = 0) -> None:
-        self._check_reg(reg, queue)
+        try:
+            ring, field = self._regs[reg, queue]
+        except KeyError:
+            raise self._no_register(reg, queue) from None
         if not 0 <= value < 1 << 32:
             raise ValueError(f"register value must fit 32 bits, got {value:#x}")
-        if reg == "RDH":
-            if self._rxen:
-                raise RegisterWriteFault("RDH is device-owned while the receive ring is enabled")
-            self._rdh = value
-        elif reg == "TDH":
-            if self._txen[queue]:
-                raise RegisterWriteFault(f"TDH({queue}) is device-owned while the queue is enabled")
-            self._tdh[queue] = value
-        elif reg == "RDT":
-            if value >= self._rdlen:
-                raise ValueError(f"RDT {value} outside ring of length {self._rdlen}")
-            self._rdt = value
-        elif reg == "TDT":
-            if value >= self._tdlen[queue]:
-                raise ValueError(f"TDT({queue}) {value} outside ring of length {self._tdlen[queue]}")
-            self._tdt[queue] = value
-        elif reg == "RDBA":
-            self._rdba = value
-        elif reg == "RDLEN":
-            self._rdlen = value
-        elif reg == "TDBA":
-            self._tdba[queue] = value
-        elif reg == "TDLEN":
-            self._tdlen[queue] = value
-        elif reg == "TDWBA":
+        if field == "tail":
+            if value >= ring.length:
+                raise ValueError(f"{reg}({queue}) {value} outside ring of length {ring.length}")
+        elif field == "enabled":
+            if value:
+                self._validate_ring(ring, "receive ring" if ring is self._rx
+                                    else f"transmit ring {queue}")
+                value = 1
+        elif field == "wb":
             if value and (value % 4 or value + 4 > self.env.arena_size):
-                raise ValueError(f"TDWBA({queue}) {value:#x} must be a 4-byte aligned arena address")
-            self._tdwba[queue] = value
-        elif reg == "RXEN":
-            if value:
-                self._validate_ring(self._rdba, self._rdlen, self._rdh, self._rdt, "receive ring")
-            self._rxen = bool(value)
-        else:  # TXEN
-            if value:
-                self._validate_ring(self._tdba[queue], self._tdlen[queue],
-                                    self._tdh[queue], self._tdt[queue],
-                                    f"transmit ring {queue}")
-            self._txen[queue] = bool(value)
+                raise ValueError(f"{reg}({queue}) {value:#x} must be a 4-byte aligned arena address")
+        elif ring.enabled:  # head, base and length
+            raise RegisterWriteFault(f"{reg}({queue}) is device-owned while the ring is enabled")
+        setattr(ring, field, value)
 
-    def _validate_ring(self, base: int, length: int, head: int, tail: int, what: str) -> None:
+    def _validate_ring(self, ring: _Ring, what: str) -> None:
+        base, length = ring.base, ring.length
         if length < MIN_RING or length > MAX_RING or length & (length - 1):
             raise ValueError(f"{what}: length must be a power of two in "
                              f"[{MIN_RING}, {MAX_RING}], got {length}")
@@ -262,8 +224,9 @@ class Nic:
             raise ValueError(f"{what}: base {base:#x} is not 16-byte aligned")
         if base + length * DESC_BYTES > self.env.arena_size:
             raise ValueError(f"{what}: does not fit the DMA arena")
-        if head >= length or tail >= length:
-            raise ValueError(f"{what}: head {head} and tail {tail} must be below length {length}")
+        if ring.head >= length or ring.tail >= length:
+            raise ValueError(f"{what}: head {ring.head} and tail {ring.tail} "
+                             f"must be below length {length}")
 
     # -- link --------------------------------------------------------------
 
@@ -294,7 +257,8 @@ class Nic:
         nothing to do). Returns the number of work units spent; dropping an
         undeliverable frame costs one unit like a completion does.
         """
-        if not (self._rxen or any(self._txen)):
+        rx, txs = self._rx, self._tx
+        if not (rx.enabled or any(t.enabled for t in txs)):
             raise NotReadyError("device is not enabled")
         self.now += 1
         classes = 1 + self.num_tx_queues
@@ -305,12 +269,14 @@ class Nic:
                 if c >= classes:
                     c -= classes
                 if c == 0:
-                    if self._rxen and self.link.rx_pending:
+                    if rx.enabled and self.link.rx_pending:
                         self._service_rx()
                         break
-                elif self._txen[c - 1] and self._tdh[c - 1] != self._tdt[c - 1]:
-                    self._service_tx(c - 1)
-                    break
+                else:
+                    t = txs[c - 1]
+                    if t.enabled and t.head != t.tail:
+                        self._service_tx(c - 1, t)
+                        break
             else:
                 break  # nothing serviceable anywhere
             self._rr = c + 1 if c + 1 < classes else 0
@@ -319,26 +285,27 @@ class Nic:
 
     def _service_rx(self) -> None:
         link = self.link
+        rx = self._rx
         frame = link.rx_pending.popleft()
-        if self._rdh == self._rdt:
+        if rx.head == rx.tail:
             # no device-owned descriptor: the wire does not wait
             link.rx_dropped += 1
             return
-        slot = self._rdh
-        daddr = self._rdba + slot * DESC_BYTES
+        slot = rx.head
+        daddr = rx.base + slot * DESC_BYTES
         (baddr,) = _U64.unpack_from(self._mem, daddr)
         payload = frame.payload
         n = len(payload)
         self._mem[baddr:baddr + n] = payload
         # payload first, then the whole metadata word: the publish order
         _U64.pack_into(self._mem, daddr + 8, n | META_EOP | META_DD)
-        self._rdh = (slot + 1) & (self._rdlen - 1)
+        rx.head = (slot + 1) & (rx.length - 1)
         link.rx_delivered += 1
         link.buffer_meta[baddr] = (frame.inject_time, frame.order)
 
-    def _service_tx(self, q: int) -> None:
-        slot = self._tdh[q]
-        daddr = self._tdba[q] + slot * DESC_BYTES
+    def _service_tx(self, q: int, ring: _Ring) -> None:
+        slot = ring.head
+        daddr = ring.base + slot * DESC_BYTES
         baddr, meta = _DESC.unpack_from(self._mem, daddr)
         length = meta & META_LEN_MASK
         if length:
@@ -348,7 +315,7 @@ class Nic:
                 frame.inject_time, frame.order = timing
             self.link.tx_emitted[q].append(frame)
         _U64.pack_into(self._mem, daddr + 8, meta | META_DD)
-        slot = (slot + 1) & (self._tdlen[q] - 1)
-        self._tdh[q] = slot
-        if meta & META_RS and self._tdwba[q]:
-            _U32.pack_into(self._mem, self._tdwba[q], slot)
+        slot = (slot + 1) & (ring.length - 1)
+        ring.head = slot
+        if meta & META_RS and ring.wb:
+            _U32.pack_into(self._mem, ring.wb, slot)

@@ -11,24 +11,16 @@ import random
 import struct
 import time
 
-from tinyring import (DESC_BYTES, SEARCH_GRANULARITY, Agent, Descriptor,
-                      Frame, MemEnv, Nic, TranslationFault, decode_descriptor,
-                      encode_descriptor, find_max_throughput, forward_trace,
-                      gen_traffic, identity, macswap, ownership, policer,
-                      ref_init, run_load_point, run_sweep, service_rate,
-                      write_csv, LoadPoint)
+from tinyring import (SEARCH_GRANULARITY, Descriptor, Frame, MemEnv,
+                      TranslationFault, build_pipeline, decode_descriptor,
+                      encode_descriptor, forward_trace, gen_traffic, identity,
+                      macswap, ownership, policer, ref_init, run_load_point,
+                      run_sweep, service_rate, write_csv, LoadPoint)
 
 import pytest
 
 DATA = pathlib.Path(__file__).parent / "data"
 U32 = struct.Struct("<I")
-
-
-def build(ring_size, num_outputs):
-    env = MemEnv(arena_size=ring_size * 2048 + (4 + num_outputs) * 4096 * 2
-                 + (1 + num_outputs) * ring_size * DESC_BYTES)
-    nic = Nic(env, num_outputs)
-    return env, nic, Agent(env, nic, ring_size, num_outputs)
 
 
 def walk_ownership(head, tail, size):
@@ -59,7 +51,7 @@ def test_c01_ownership_law():
 
 def test_c02_counter_monotonicity():
     ring, outputs = 64, 2
-    _env, nic, agent = build(ring, outputs)
+    _env, nic, agent = build_pipeline(ring, outputs)
     link = nic.link
     mask = ring - 1
     rng = random.Random(0xC2)
@@ -110,10 +102,8 @@ def test_c03_differential_equivalence():
         ring, n, nf, flush = combos[i % len(combos)]
         rng = random.Random(1000 + i)
         trace = [rng.randbytes(rng.randint(12, 200)) for _ in range(packets)]
-        env = MemEnv(arena_size=ring * 2048 + (4 + n) * 4096 * 2
-                     + (1 + n) * ring * DESC_BYTES)
-        nic = Nic(env, n)
-        agent = Agent(env, nic, ring, n, flush_period=flush, recycle_period=8 * flush)
+        _env, nic, agent = build_pipeline(ring, n, flush_period=flush,
+                                          recycle_period=8 * flush)
         done = forward_trace(agent, [Frame(p) for p in trace], nf(),
                              device_budget=1 + n)
         assert done == packets
@@ -132,7 +122,7 @@ def test_c04_inorder_lossfree_forwarding():
     checked = []
     # up-front burst: recycling provably outpaces arrivals at these sizes
     for ring in (128, 256, 512):
-        _env, nic, agent = build(ring, 1)
+        _env, nic, agent = build_pipeline(ring, 1)
         for f in gen_traffic(4 * ring, 64, ring):
             nic.inject_rx(f)
         assert agent.run(identity(), max_packets=4 * ring) == 4 * ring
@@ -141,7 +131,7 @@ def test_c04_inorder_lossfree_forwarding():
         checked.append(ring)
     # arrival gated on a free descriptor: holds at every ring size
     for ring in (8, 64, 256):
-        _env, nic, agent = build(ring, 1)
+        _env, nic, agent = build_pipeline(ring, 1)
         frames = gen_traffic(4 * ring, 64, ring + 1)
         assert forward_trace(agent, frames, identity()) == 4 * ring
         assert nic.link.rx_dropped == 0
@@ -153,7 +143,7 @@ def test_c04_inorder_lossfree_forwarding():
 
 def test_c05_multi_output_semantics():
     packets = 10_000
-    _env, nic, agent = build(256, 2)
+    _env, nic, agent = build_pipeline(256, 2)
     first_only = lambda buf, length, n: [length, 0]
     frames = gen_traffic(packets, 64, 5)
     assert forward_trace(agent, frames, first_only, device_budget=3) == packets
@@ -167,7 +157,7 @@ def test_c05_multi_output_semantics():
 
 def test_c06_recycle_bound_and_tail_sync():
     ring, outputs, packets = 64, 2, 10_000
-    _env, nic, agent = build(ring, outputs)
+    _env, nic, agent = build_pipeline(ring, outputs)
     link = nic.link
     mask = ring - 1
     nf = identity()
@@ -236,10 +226,10 @@ def test_c08_descriptor_codec():
 
 def test_c09_benchmark_methodology():
     t0 = time.perf_counter()
-    best = find_max_throughput("identity", 256, 1)
+    results = run_sweep("identity", 256, 1, 100)
+    best = results[-1]  # the sweep ends at the knee search's maximum
     rate = service_rate(1, 1)
     assert abs(best.offered_load - rate) <= SEARCH_GRANULARITY
-    results = run_sweep("identity", 256, 1, 100)
     fractions = [r.loss_fraction for r in results]
     # extend past the knee: loss must keep rising monotonically into overload
     for load in (560, 640, 800):
@@ -259,7 +249,7 @@ def test_c09_benchmark_methodology():
 
 def test_c10_performance_smoke():
     ring, packets = 1024, 30_000
-    _env, nic, agent = build(ring, 1)
+    _env, nic, agent = build_pipeline(ring, 1)
     for f in gen_traffic(packets, 64, 0):
         nic.inject_rx(f)
     t0 = time.perf_counter()

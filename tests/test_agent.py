@@ -8,17 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinyring import (DESC_BYTES, META_DD, META_RS, Agent, Frame, MemEnv, Nic,
-                      ProtocolViolation, forward_trace, gen_traffic, identity,
-                      macswap, policer, ref_init)
+                      PipelineStalled, ProtocolViolation, build_pipeline,
+                      forward_trace, gen_traffic, identity, macswap, policer,
+                      ref_init)
 
 U64 = struct.Struct("<Q")
 
 
 def make(ring_size=8, num_outputs=1, **kw):
-    env = MemEnv(arena_size=(ring_size * 2048) + (4 + num_outputs) * 4096 * 2
-                 + (1 + num_outputs) * ring_size * DESC_BYTES)
-    nic = Nic(env, num_outputs)
-    return env, nic, Agent(env, nic, ring_size, num_outputs, **kw)
+    return build_pipeline(ring_size, num_outputs, **kw)
 
 
 def feed_one(nic, agent, payload):
@@ -225,7 +223,7 @@ class TestRun:
 
     def test_empty_run(self):
         _, _, agent = make()
-        assert agent.run(identity(), max_packets=10, idle_budget=32) == 0
+        assert agent.run(identity(), max_packets=10) == 0
 
     def test_burst_of_four_rings(self):
         _, nic, agent = make(ring_size=256)
@@ -234,6 +232,16 @@ class TestRun:
         assert agent.run(identity(), max_packets=1024) == 1024
         assert nic.link.rx_dropped == 0
         assert [f.order for f in nic.drain_tx(0)] == list(range(1024))
+
+    def test_stops_at_packet_cap(self):
+        _, nic, agent = make(ring_size=64)
+        for f in gen_traffic(20, 64, 4):
+            nic.inject_rx(f)
+        assert agent.run(identity(), max_packets=5) == 5
+        assert [f.order for f in nic.drain_tx(0)] == [0, 1, 2, 3, 4]
+        assert agent.run(identity(), max_packets=15) == 15
+        assert [f.order for f in nic.drain_tx(0)] == list(range(5, 20))
+        assert nic.link.rx_dropped == 0
 
     def test_buffer_set_is_fixed(self):
         _, nic, agent = make(ring_size=64)
@@ -261,6 +269,40 @@ class TestFlowControlledForwarding:
         forward_trace(agent, gen_traffic(100, 64, 9), identity())
         tails = {nic.reg_read("TDT", q) for q in range(4)}
         assert len(tails) == 1
+
+
+class TestStalledPipeline:
+    """A stopped transmit queue blocks recycling: the drivers must say so."""
+
+    def stopped(self):
+        _, nic, agent = make(ring_size=8, num_outputs=2)
+        nic.reg_write("TXEN", 0, 1)
+        return nic, agent
+
+    def test_flow_controlled(self):
+        _, agent = self.stopped()
+        with pytest.raises(PipelineStalled):
+            forward_trace(agent, gen_traffic(32, 64, 1), identity())
+
+    def test_timed(self):
+        _, agent = self.stopped()
+        with pytest.raises(PipelineStalled):
+            forward_trace(agent, gen_traffic(32, 64, 1), identity(),
+                          due=[10 * k for k in range(32)], deadline=400)
+
+    def test_run(self):
+        nic, agent = self.stopped()
+        for f in gen_traffic(32, 64, 1):
+            nic.inject_rx(f)
+        with pytest.raises(PipelineStalled):
+            agent.run(identity(), max_packets=32)
+
+    def test_finish(self):
+        nic, agent = self.stopped()
+        feed_one(nic, agent, b"s" * 64)
+        agent.transmit([64, 64])
+        with pytest.raises(PipelineStalled):
+            agent.finish()
 
 
 traces = st.lists(st.binary(min_size=12, max_size=256), min_size=1, max_size=60)

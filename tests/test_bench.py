@@ -414,13 +414,3 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["--max-only"])
         assert exc.value.code == 1
-
-    def test_page_size_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TINYRING_PAGE_SIZE", "8192")
-        code, _ = self.run_ok(tmp_path, "--max-only")
-        assert code == 0
-
-    def test_bad_page_size_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TINYRING_PAGE_SIZE", "huge")
-        code, _ = self.run_ok(tmp_path, "--max-only")
-        assert code == 1

@@ -124,6 +124,45 @@ class TestRegisters:
         with pytest.raises(ValueError):
             nic.reg_write("RDT", 8)
 
+    @pytest.mark.parametrize("reg, queue", [
+        *((reg, 0) for reg in ("RDBA", "RDLEN", "RDH", "RDT", "RXEN")),
+        *((reg, q) for reg in ("TDBA", "TDLEN", "TDH", "TDT", "TDWBA", "TXEN")
+          for q in (0, 1)),
+    ])
+    def test_register_echo(self, reg, queue):
+        # every register reads back what was written before the enable
+        nic = Nic(MemEnv(), 2)
+        nic.reg_write(reg[0] + "DLEN", 8, queue)  # so tails and the enable are valid
+        value = {"DBA": 0x1000, "DLEN": 16, "DH": 3, "DT": 5, "DWBA": 0x40,
+                 "XEN": 1}[reg[1:]]
+        nic.reg_write(reg, value, queue)
+        assert nic.reg_read(reg, queue) == value
+
+    @pytest.mark.parametrize("reg, queue", [
+        ("TDT", -1), ("RDT", -1), ("RDT", 1), ("RXEN", 1), ("TDT", 2),
+        ("TDWBA", 2), ("EICR", 0),
+    ])
+    def test_invalid_register_keys(self, reg, queue):
+        nic = Nic(MemEnv(), 2)
+        with pytest.raises(InvalidRegisterError):
+            nic.reg_read(reg, queue)
+        with pytest.raises(InvalidRegisterError):
+            nic.reg_write(reg, 0, queue)
+
+    @pytest.mark.parametrize("reg, value", [("DLEN", 6), ("DBA", 16)])
+    def test_geometry_write_faults_after_enable(self, reg, value):
+        # an enabled ring's geometry was validated at enable time; a later
+        # write would let the device DMA through unchecked values
+        env = MemEnv()
+        nic = Nic(env, 2)
+        rx_ring(env, nic)
+        tx_ring(env, nic, queue=1)
+        with pytest.raises(RegisterWriteFault):
+            nic.reg_write("R" + reg, value)
+        with pytest.raises(RegisterWriteFault):
+            nic.reg_write("T" + reg, value, 1)
+        assert nic.reg_read("RDLEN") == nic.reg_read("TDLEN", 1) == 8
+
     def test_enable_validates_ring_length(self):
         env = MemEnv()
         nic = Nic(env)
