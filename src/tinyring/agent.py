@@ -27,6 +27,14 @@ immediately instead; without that, a ragged batch at the end of a burst
 would sit unpublished forever and rings no larger than the recycle period
 would wedge.
 
+Report status has one rule: every publish marks RS on the last descriptor
+of the batch it publishes, on every queue, so each batch ends in a head
+write-back, whether it closed on the flush grid or was published early by
+an empty poll or finish(). transmit itself never sets RS. A slot goes back
+to the device only once every output is done with it, and transmit has
+already cleared its receive done bit by then, so recycling only moves the
+receive tail.
+
 There is one driver loop, forward_trace: inject, step the device, poll,
 in lockstep. Only injection varies. It is flow-controlled by default (the
 next frame enters once the wire is clear and a receive slot is free) or
@@ -48,8 +56,6 @@ from .nic import (DESC_BYTES, MAX_FRAME, META_DD, META_EOP, META_LEN_MASK,
 
 FLUSH_PERIOD = 8
 RECYCLE_PERIOD = 64
-
-MAX_OUTPUTS = 8
 
 # (buffer view of full capacity, received length, output count) -> per-output lengths.
 # A processor that returns a length beyond the received one must have written
@@ -76,14 +82,11 @@ class Agent:
                  recycle_period: int = RECYCLE_PERIOD) -> None:
         if ring_size < 2 or ring_size > 65536 or ring_size & (ring_size - 1):
             raise ValueError(f"ring size must be a power of two in [2, 65536], got {ring_size}")
-        if not 1 <= num_outputs <= MAX_OUTPUTS:
-            raise ValueError(f"output count must be in [1, {MAX_OUTPUTS}], got {num_outputs}")
         if num_outputs != nic.num_tx_queues:
             raise ValueError(f"device has {nic.num_tx_queues} transmit queues, "
                              f"agent needs {num_outputs}")
-        if flush_period < 1 or recycle_period % flush_period:
+        if flush_period < 1 or recycle_period < 1 or recycle_period % flush_period:
             raise ValueError("recycle period must be a positive multiple of the flush period")
-        self.env = env
         self.nic = nic
         self.ring_size = ring_size
         self.num_outputs = num_outputs
@@ -155,13 +158,12 @@ class Agent:
                 raise ValueError(f"output {q}: length {n} exceeds buffer capacity")
         p = self.processed
         off = (p & self._mask) * DESC_BYTES + 8
-        flags = META_EOP | (META_RS if (p + 1) % self.flush_period == 0 else 0)
         mem = self._mem
         for q, n in enumerate(lengths):
-            _U64.pack_into(mem, self._tx_bases[q] + off, n | flags)
-        # Retire the receive slot now: clearing its done bit here (rather than
-        # waiting for recycle) means a later lap can never mistake this lap's
-        # completion for a fresh delivery when the tail sits right on the slot.
+            _U64.pack_into(mem, self._tx_bases[q] + off, n | META_EOP)
+        # Retire the receive slot now. This is the only place its done bit is
+        # cleared, so a later lap can never mistake this lap's completion for
+        # a fresh delivery when the tail sits right on the slot.
         _U64.pack_into(mem, self._rx_base + off, 0)
         self._inflight = False
         self.processed = p + 1
@@ -170,20 +172,21 @@ class Agent:
         if (p + 1) % self.recycle_period == 0:
             self.recycle()
 
-    def _flush(self, mark_rs: bool = False) -> None:
-        """Publish the transmit tails (one pass, so they stay equal).
+    def _flush(self) -> None:
+        """Publish the unpublished batch, with RS on its last descriptor.
 
-        mark_rs retrofits a report-status flag onto the last descriptor of a
-        ragged, still-unpublished batch so the head write-back eventually
-        reaches `processed` even when the batch ends off the flush grid.
+        RS makes the head write-back reach `processed`; writing every queue's
+        tail in one pass keeps the tails equal. No-op when nothing is
+        unpublished.
         """
         p = self.processed
-        if mark_rs and p > self._published:
-            off = ((p - 1) & self._mask) * DESC_BYTES + 8
-            for tb in self._tx_bases:
-                (meta,) = _U64.unpack_from(self._mem, tb + off)
-                if not meta & META_RS:
-                    _U64.pack_into(self._mem, tb + off, meta | META_RS)
+        if p == self._published:
+            return
+        off = ((p - 1) & self._mask) * DESC_BYTES + 8
+        mem = self._mem
+        for tb in self._tx_bases:
+            (meta,) = _U64.unpack_from(mem, tb + off)
+            _U64.pack_into(mem, tb + off, meta | META_RS)
         tail = p & self._mask
         for q in range(self.num_outputs):
             self.nic.reg_write("TDT", tail, q)
@@ -208,9 +211,6 @@ class Agent:
         new_tail = earliest - 1 + self.ring_size
         if new_tail <= self._rdt_unwrapped:
             return
-        # clear stale done bits before the device may deliver there again
-        for u in range(self._rdt_unwrapped, new_tail):
-            _U64.pack_into(self._mem, self._rx_base + (u & mask) * DESC_BYTES + 8, 0)
         self._rdt_unwrapped = new_tail
         self.nic.reg_write("RDT", new_tail & mask)
 
@@ -225,8 +225,7 @@ class Agent:
         """
         got = self.receive()
         if got is None:
-            if self._published != self.processed:
-                self._flush(mark_rs=True)
+            self._flush()
             self.recycle()
             return False
         buf, length = got
@@ -247,7 +246,7 @@ class Agent:
         Raises PipelineStalled if a step retires nothing first: without
         software action no later step could retire anything either.
         """
-        self._flush(mark_rs=True)
+        self._flush()
         nic = self.nic
         while not self.quiescent():
             if not nic.step_device(device_budget):

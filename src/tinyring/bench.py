@@ -96,10 +96,9 @@ def gen_traffic(count: int, size: int, seed: int) -> list[Frame]:
 
 # -- pcap ingestion ----------------------------------------------------------
 
-_PCAP_GLOBAL = struct.Struct("<IHHiIII")  # magic, major, minor, zone, sigfigs, snaplen, linktype
-_PCAP_RECORD = struct.Struct("<IIII")     # ts_sec, ts_usec, incl_len, orig_len
-PCAP_MAGIC_LE = 0xA1B2C3D4
-PCAP_MAGIC_BE = 0xD4C3B2A1
+_PCAP_GLOBAL_BYTES = 24  # magic, major, minor, zone, sigfigs, snaplen, linktype
+_PCAP_RECORD = "IIII"    # ts_sec, ts_frac, incl_len, orig_len
+_PCAP_MAGICS = (0xA1B2C3D4, 0xA1B23C4D)  # microsecond, nanosecond timestamps
 
 
 class PcapFormatError(Exception):
@@ -111,27 +110,30 @@ class PcapFormatError(Exception):
 
 
 def parse_pcap(data: bytes) -> list[Frame]:
-    """Frames from a classic little-endian pcap capture, in file order.
+    """Frames from a classic pcap capture, in file order.
 
-    Payloads longer than the buffer capacity are truncated to it. Only the
-    little-endian magic is accepted; byte-swapped files are rejected.
+    Microsecond and nanosecond captures are accepted in either byte order,
+    which the magic number gives; timestamps are ignored, so all four
+    variants read the same way. Payloads longer than the buffer capacity
+    are truncated to it.
     """
-    if len(data) < _PCAP_GLOBAL.size:
-        raise PcapFormatError(f"global header needs {_PCAP_GLOBAL.size} bytes, "
+    if len(data) < _PCAP_GLOBAL_BYTES:
+        raise PcapFormatError(f"global header needs {_PCAP_GLOBAL_BYTES} bytes, "
                               f"file has {len(data)}")
-    magic = _PCAP_GLOBAL.unpack_from(data)[0]
-    if magic == PCAP_MAGIC_BE:
-        raise PcapFormatError("big-endian capture files are not supported")
-    if magic != PCAP_MAGIC_LE:
-        raise PcapFormatError(f"bad magic {magic:#010x}")
+    for order in "<>":
+        if struct.unpack_from(order + "I", data)[0] in _PCAP_MAGICS:
+            break
+    else:
+        raise PcapFormatError(f"bad magic {struct.unpack_from('<I', data)[0]:#010x}")
+    record = struct.Struct(order + _PCAP_RECORD)
     frames: list[Frame] = []
-    offset = _PCAP_GLOBAL.size
+    offset = _PCAP_GLOBAL_BYTES
     index = 0
     while offset < len(data):
-        if len(data) - offset < _PCAP_RECORD.size:
+        if len(data) - offset < record.size:
             raise PcapFormatError(f"record {index}: truncated header", record_index=index)
-        incl_len = _PCAP_RECORD.unpack_from(data, offset)[2]
-        offset += _PCAP_RECORD.size
+        incl_len = record.unpack_from(data, offset)[2]
+        offset += record.size
         if incl_len == 0:
             raise PcapFormatError(f"record {index}: empty capture record", record_index=index)
         if len(data) - offset < incl_len:
@@ -187,17 +189,16 @@ def _search_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int
                            trace_length: int = DEFAULT_TRACE_LENGTH,
                            seed: int = 0, frames: Sequence[Frame] | None = None,
                            device_budget: int = DEVICE_BUDGET,
-                           granularity: int = SEARCH_GRANULARITY,
                            ) -> tuple[LoadPoint, dict[int, LoadPointResult]]:
     """find_max_throughput, plus every result it measured on the way, by load."""
     if frames is None:
         frames = gen_traffic(trace_length, packet_size, seed)
     measured: dict[int, LoadPointResult] = {}
     ceiling = MAX_LOAD_PER_BUDGET * device_budget
-    lo, hi = 0, ceiling // granularity
+    lo, hi = 0, ceiling // SEARCH_GRANULARITY
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        lp = LoadPoint(mid * granularity, packet_size, trace_length)
+        lp = LoadPoint(mid * SEARCH_GRANULARITY, packet_size, trace_length)
         res = run_load_point(lp, nf, ring_size, num_outputs, frames=frames,
                              device_budget=device_budget)
         measured[lp.offered_load] = res
@@ -206,9 +207,9 @@ def _search_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int
         else:
             hi = mid - 1
     if lo == 0:
-        raise NoSustainableLoad(f"no load on the {granularity}-wide grid up to "
+        raise NoSustainableLoad(f"no load on the {SEARCH_GRANULARITY}-wide grid up to "
                                 f"{ceiling} keeps loss under {loss_bound}")
-    return LoadPoint(lo * granularity, packet_size, trace_length), measured
+    return LoadPoint(lo * SEARCH_GRANULARITY, packet_size, trace_length), measured
 
 
 def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
@@ -216,9 +217,8 @@ def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
                         packet_size: int = DEFAULT_PACKET_SIZE,
                         trace_length: int = DEFAULT_TRACE_LENGTH,
                         seed: int = 0, frames: Sequence[Frame] | None = None,
-                        device_budget: int = DEVICE_BUDGET,
-                        granularity: int = SEARCH_GRANULARITY) -> LoadPoint:
-    """Largest load on the granularity grid whose loss stays under the bound.
+                        device_budget: int = DEVICE_BUDGET) -> LoadPoint:
+    """Largest load on the SEARCH_GRANULARITY grid whose loss stays under the bound.
 
     Binary search; sound because loss is non-decreasing in offered load for
     a fixed seed and configuration. Raises NoSustainableLoad when even the
@@ -226,8 +226,7 @@ def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
     """
     return _search_max_throughput(nf, ring_size, num_outputs, loss_bound,
                                   packet_size=packet_size, trace_length=trace_length,
-                                  seed=seed, frames=frames, device_budget=device_budget,
-                                  granularity=granularity)[0]
+                                  seed=seed, frames=frames, device_budget=device_budget)[0]
 
 
 def run_sweep(nf: Processor | str, ring_size: int, num_outputs: int, step: int, *,

@@ -6,6 +6,10 @@ Virtual addresses live in a far-away range with an unmapped guard page
 between regions; confusing the two spaces, or touching a stale address,
 fails fast with TranslationFault instead of silently aliasing.
 
+Pages are a fixed 4096 bytes (DEFAULT_PAGE_SIZE): allocations round up to
+whole pages, translation works page by page, and the guard pages are one
+page each.
+
 There is no deallocation. Everything is claimed up front and kept for the
 lifetime of the environment, which is exactly the discipline the driver
 side needs anyway.
@@ -17,6 +21,8 @@ from dataclasses import dataclass
 
 DEFAULT_PAGE_SIZE = 4096
 DEFAULT_ARENA_SIZE = 16 * 1024 * 1024
+
+_PAGE_MASK = DEFAULT_PAGE_SIZE - 1  # in-page offset bits of an address
 
 # Base of the simulated virtual address space. Far from any arena offset so
 # that a physical address used as a virtual one (or vice versa) faults.
@@ -48,15 +54,10 @@ class DmaRegion:
 class MemEnv:
     """Execution environment owning the DMA arena and the page map."""
 
-    def __init__(self, arena_size: int = DEFAULT_ARENA_SIZE,
-                 page_size: int = DEFAULT_PAGE_SIZE) -> None:
-        if page_size < 1 or page_size & (page_size - 1):
-            raise ValueError(f"page size must be a power of two, got {page_size}")
+    def __init__(self, arena_size: int = DEFAULT_ARENA_SIZE) -> None:
         if arena_size < 1:
             raise ValueError(f"arena size must be positive, got {arena_size}")
-        self._page_size = page_size
-        npages = -(-arena_size // page_size)
-        self._arena = bytearray(npages * page_size)
+        self._arena = bytearray(-(-arena_size // DEFAULT_PAGE_SIZE) * DEFAULT_PAGE_SIZE)
         # Whole-arena view used for device-side DMA. memoryview assignment
         # cannot resize, so an out-of-range device access raises instead of
         # growing the arena the way bytearray slice assignment would.
@@ -66,10 +67,6 @@ class MemEnv:
         self._v2p: dict[int, int] = {}
         self._p2v: dict[int, int] = {}
 
-    def page_size(self) -> int:
-        """Configured page granularity, constant for the environment's lifetime."""
-        return self._page_size
-
     @property
     def arena_size(self) -> int:
         return len(self._arena)
@@ -78,30 +75,27 @@ class MemEnv:
         """Hand out a zeroed, page-aligned, physically contiguous region."""
         if size < 1:
             raise ValueError(f"allocation size must be positive, got {size}")
-        ps = self._page_size
-        span = -(-size // ps) * ps
+        span = -(-size // DEFAULT_PAGE_SIZE) * DEFAULT_PAGE_SIZE
         if self._next_phys + span > len(self._arena):
             raise OutOfMemory(f"{size} bytes requested, "
                               f"{len(self._arena) - self._next_phys} left in arena")
         phys = self._next_phys
         virt = self._next_virt
         self._next_phys += span
-        self._next_virt += span + ps  # guard page keeps regions apart virtually
-        for off in range(0, span, ps):
+        self._next_virt += span + DEFAULT_PAGE_SIZE  # guard page keeps regions apart virtually
+        for off in range(0, span, DEFAULT_PAGE_SIZE):
             self._v2p[virt + off] = phys + off
             self._p2v[phys + off] = virt + off
         return DmaRegion(virt, phys, size, self.dma[phys:phys + size])
 
     def virt_to_phys(self, addr: int) -> int:
-        mask = self._page_size - 1
         try:
-            return self._v2p[addr & ~mask] + (addr & mask)
+            return self._v2p[addr & ~_PAGE_MASK] + (addr & _PAGE_MASK)
         except KeyError:
             raise TranslationFault(f"virtual address 0x{addr:x} is not mapped") from None
 
     def phys_to_virt(self, addr: int) -> int:
-        mask = self._page_size - 1
         try:
-            return self._p2v[addr & ~mask] + (addr & mask)
+            return self._p2v[addr & ~_PAGE_MASK] + (addr & _PAGE_MASK)
         except KeyError:
             raise TranslationFault(f"physical address 0x{addr:x} is not mapped") from None

@@ -11,7 +11,7 @@ import random
 import struct
 import time
 
-from tinyring import (SEARCH_GRANULARITY, Descriptor, Frame, MemEnv,
+from tinyring import (DEFAULT_PAGE_SIZE, SEARCH_GRANULARITY, Descriptor, Frame, MemEnv,
                       TranslationFault, build_pipeline, decode_descriptor,
                       encode_descriptor, forward_trace, gen_traffic, identity,
                       macswap, ownership, policer, ref_init, run_load_point,
@@ -197,7 +197,7 @@ def test_c07_translation_laws():
         assert env.virt_to_phys(region.virt_base + off) == region.phys_base + off
         assert env.phys_to_virt(region.phys_base + off) == region.virt_base + off
     faults = 0
-    ps = env.page_size()
+    ps = DEFAULT_PAGE_SIZE
     for region in regions:  # the guard page after each region's mapped extent
         mapped_end = region.virt_base + (region.size + ps - 1) // ps * ps
         for _ in range(25):

@@ -6,11 +6,13 @@ import struct
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
+                                 precondition, rule)
 
 from tinyring import (DESC_BYTES, META_DD, META_RS, Agent, Frame, MemEnv, Nic,
                       PipelineStalled, ProtocolViolation, build_pipeline,
-                      forward_trace, gen_traffic, identity, macswap, policer,
-                      ref_init)
+                      forward_trace, gen_traffic, identity, macswap, ownership,
+                      policer, ref_init)
 
 U64 = struct.Struct("<Q")
 
@@ -55,9 +57,10 @@ class TestInit:
             Agent(env, Nic(env, 1), 8, 2)
 
     def test_recycle_period_multiple_of_flush(self):
-        env = MemEnv()
-        with pytest.raises(ValueError):
-            Agent(env, Nic(env, 1), 8, 1, flush_period=8, recycle_period=12)
+        for recycle_period in (12, 0, -8):
+            env = MemEnv()
+            with pytest.raises(ValueError):
+                Agent(env, Nic(env, 1), 8, 1, flush_period=8, recycle_period=recycle_period)
 
     def test_tx_rings_mirror_buffer_addrs(self):
         env, _, agent = make(8, 2)
@@ -186,7 +189,6 @@ class TestRecycle:
         env, nic, agent = self.drained_agent()
         agent.recycle()
         head, tail = nic.reg_read("RDH"), nic.reg_read("RDT")
-        from tinyring import ownership
         for slot in ownership(head, tail, 16):
             meta = U64.unpack_from(env.dma, agent._rx_base + slot * DESC_BYTES + 8)[0]
             assert meta == 0
@@ -333,3 +335,82 @@ def test_long_mixed_trace_differential():
     want = ref_init(8, 2, macswap()).process_trace(trace)
     for q in range(2):
         assert [f.payload for f in nic.drain_tx(q)] == want[q]
+
+
+NF_FACTORIES = {"identity": identity, "macswap": macswap, "policer": lambda: policer(100)}
+
+
+class RingMachine(RuleBasedStateMachine):
+    """Random interleavings of injection, device steps, polls, recycles and
+    finish() on one pipeline, checked against the ring invariants and the
+    reference pipeline after every rule."""
+
+    @initialize(ring=st.sampled_from([2, 4, 8, 16, 64]), outputs=st.integers(1, 3),
+                flush=st.sampled_from([1, 2, 4, 8]), laps=st.integers(1, 4),
+                nf=st.sampled_from(sorted(NF_FACTORIES)))
+    def build(self, ring, outputs, flush, laps, nf):
+        self.env, self.nic, self.agent = build_pipeline(ring, outputs, flush, flush * laps)
+        self.factory = NF_FACTORIES[nf]
+        self.processor = self.factory()
+        self.payloads = []
+        self.emitted = [[] for _ in range(outputs)]
+
+    def expected(self):
+        """Reference outputs for the packets the agent has processed so far."""
+        frames = [Frame(p) for p in self.payloads[:self.agent.processed]]
+        return ref_init(4, self.agent.num_outputs, self.factory()).process_trace(frames)
+
+    @precondition(lambda self: not self.nic.link.rx_pending
+                  and self.nic.reg_read("RDH") != self.nic.reg_read("RDT"))
+    @rule(payload=st.binary(min_size=12, max_size=128))
+    def inject(self, payload):
+        self.nic.inject_rx(Frame(payload))
+        self.payloads.append(payload)
+
+    @rule(budget=st.integers(1, 4))
+    def step(self, budget):
+        self.nic.step_device(budget)
+
+    @rule()
+    def poll(self):
+        self.agent.poll(self.processor)
+
+    @rule()
+    def recycle(self):
+        self.agent.recycle()
+
+    @rule()
+    def finish(self):
+        self.agent.finish()
+        self.collect()
+        assert self.emitted == self.expected()
+        for q in range(self.agent.num_outputs):
+            (wb,) = struct.unpack_from("<I", self.env.dma, self.agent._shadow_base + 4 * q)
+            assert wb == self.nic.reg_read("TDT", q)
+
+    def collect(self):
+        for q, out in enumerate(self.emitted):
+            out.extend(f.payload for f in self.nic.drain_tx(q))
+
+    @invariant()
+    def device_owned_rx_slots_are_fresh(self):
+        agent, nic = self.agent, self.nic
+        for slot in ownership(nic.reg_read("RDH"), nic.reg_read("RDT"), agent.ring_size):
+            assert U64.unpack_from(self.env.dma, agent._rx_base + slot * DESC_BYTES + 8)[0] == 0
+
+    @invariant()
+    def counters_ordered(self):
+        a = self.agent
+        assert a._published <= a.processed <= a._rdt_unwrapped <= a.processed + a.ring_size - 1
+        assert self.nic.link.rx_dropped == 0
+
+    @invariant()
+    def outputs_are_reference_prefixes(self):
+        self.collect()
+        for got, want in zip(self.emitted, self.expected()):
+            assert got == want[:len(got)]
+
+
+RingMachine.TestCase.settings = settings(max_examples=300, stateful_step_count=60,
+                                         deadline=None)
+TestRingMachine = RingMachine.TestCase

@@ -14,14 +14,14 @@ from tinyring import (CSV_HEADER, DRAIN_ALLOWANCE, SEARCH_GRANULARITY, Agent,
                       run_load_point, run_sweep, service_rate, write_csv)
 from tinyring.cli import main
 
-GLOBAL_HEADER = struct.Struct("<IHHiIII")
 RECORD_HEADER = struct.Struct("<IIII")
 
 
-def pcap_bytes(*payloads, magic=0xA1B2C3D4):
-    blob = GLOBAL_HEADER.pack(magic, 2, 4, 0, 0, 65535, 1)
-    for p in payloads:
-        blob += RECORD_HEADER.pack(0, 0, len(p), len(p)) + p
+def pcap_bytes(*payloads, magic=0xA1B2C3D4, order="<"):
+    """A capture with every header field packed in the given byte order."""
+    blob = struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)
+    for i, p in enumerate(payloads):
+        blob += struct.pack(order + "IIII", 1_700_000_000 + i, 123_456, len(p), len(p)) + p
     return blob
 
 
@@ -91,9 +91,15 @@ class TestParsePcap:
         frames = parse_pcap(pcap_bytes(b"a" * 20, b"b" * 30, b"c" * 40))
         assert [len(f.payload) for f in frames] == [20, 30, 40]
 
-    def test_byte_swapped_magic_rejected(self):
-        with pytest.raises(PcapFormatError):
-            parse_pcap(pcap_bytes(magic=0xD4C3B2A1))
+    def test_nanosecond_and_big_endian_variants(self):
+        # all four variants read exactly like the classic little-endian file
+        payloads = (b"a" * 20, bytes(range(256)) * 3, b"\x01" * 60)
+        want = [f.payload for f in parse_pcap(pcap_bytes(*payloads))]
+        assert want == list(payloads)
+        for magic in (0xA1B2C3D4, 0xA1B23C4D):
+            for order in "<>":
+                blob = pcap_bytes(*payloads, magic=magic, order=order)
+                assert [f.payload for f in parse_pcap(blob)] == want, (hex(magic), order)
 
     def test_unknown_magic_rejected(self):
         with pytest.raises(PcapFormatError):
@@ -396,6 +402,11 @@ class TestCli:
     def test_missing_pcap_is_io_error(self, tmp_path):
         code, _ = self.run_ok(tmp_path, "--pcap", str(tmp_path / "absent.pcap"))
         assert code == 2
+
+    @pytest.mark.parametrize("outputs", ["0", "9"])
+    def test_output_count_out_of_range(self, tmp_path, capsys, outputs):
+        assert main(["--csv", str(tmp_path / "out.csv"), "--outputs", outputs]) == 1
+        assert "queue count must be in [1, 8]" in capsys.readouterr().err
 
     def test_invalid_ring_size(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -8,21 +8,11 @@ from tinyring import DEFAULT_PAGE_SIZE, MemEnv, OutOfMemory, TranslationFault
 
 
 def test_page_size_default():
-    assert MemEnv().page_size() == 4096
-
-
-def test_page_size_configured():
-    assert MemEnv(page_size=8192).page_size() == 8192
-
-
-def test_page_size_constant():
+    # the page is fixed at 4096 bytes: one-byte allocations take a page each
+    assert DEFAULT_PAGE_SIZE == 4096
     env = MemEnv()
-    assert env.page_size() == env.page_size()
-
-
-def test_page_size_must_be_power_of_two():
-    with pytest.raises(ValueError):
-        MemEnv(page_size=3000)
+    assert [env.allocate_dma(1).phys_base for _ in range(3)] == [0, 4096, 8192]
+    assert MemEnv(arena_size=1).arena_size == 4096
 
 
 def test_allocation_is_zeroed():

@@ -80,6 +80,11 @@ def tx_ring(env, nic, size=8, queue=0, wba=False):
 
 
 class TestRegisters:
+    @pytest.mark.parametrize("queues", [0, 9])
+    def test_queue_count_range(self, queues):
+        with pytest.raises(ValueError):
+            Nic(MemEnv(), queues)
+
     def test_tail_echo(self):
         env = MemEnv()
         nic = Nic(env)
