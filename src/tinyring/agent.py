@@ -35,6 +35,13 @@ to the device only once every output is done with it, and transmit has
 already cleared its receive done bit by then, so recycling only moves the
 receive tail.
 
+receive() and transmit() are the ring protocol split in two for callers
+that process a packet by hand. poll() is the same protocol in one call:
+it reads the receive descriptor itself and files the packet through the
+private helper transmit() also uses, so lengths are checked in one place;
+if the processor raises, the packet stays outstanding, as after
+receive(). The next flush and recycle points are kept as running counts.
+
 There is one driver loop, forward_trace: inject, step the device, poll,
 in lockstep. Only injection varies. It is flow-controlled by default (the
 next frame enters once the wire is clear and a receive slot is free) or
@@ -127,6 +134,8 @@ class Agent:
         self.processed = 0                      # unwrapped packets fully handled
         self._published = 0                     # unwrapped value last written to the TX tails
         self._rdt_unwrapped = ring_size - 1     # unwrapped value of the RX tail
+        self._next_flush = flush_period         # processed count of the next flush
+        self._next_recycle = recycle_period     # processed count of the next recycle
         self._inflight = False
 
     # -- ring protocol ------------------------------------------------------
@@ -151,26 +160,39 @@ class Agent:
         """File the outstanding packet on every output; length 0 skips one."""
         if not self._inflight:
             raise ProtocolViolation("no packet outstanding")
+        self._file(lengths)
+
+    def _file(self, lengths: Sequence[int]) -> None:
+        """Write the outstanding packet's transmit descriptors and retire it.
+
+        Every length is checked before any descriptor is written, so a
+        rejected packet stays outstanding with nothing half-filed.
+        """
         if len(lengths) != self.num_outputs:
             raise ValueError(f"need {self.num_outputs} lengths, got {len(lengths)}")
         for q, n in enumerate(lengths):
-            if not 0 <= n <= MAX_FRAME:
-                raise ValueError(f"output {q}: length {n} exceeds buffer capacity")
+            if not isinstance(n, int) or not 0 <= n <= MAX_FRAME:
+                raise ValueError(f"output {q}: length {n!r} is not an integer "
+                                 f"in [0, {MAX_FRAME}]")
         p = self.processed
         off = (p & self._mask) * DESC_BYTES + 8
         mem = self._mem
-        for q, n in enumerate(lengths):
-            _U64.pack_into(mem, self._tx_bases[q] + off, n | META_EOP)
+        for tb, n in zip(self._tx_bases, lengths):
+            _U64.pack_into(mem, tb + off, n | META_EOP)
         # Retire the receive slot now. This is the only place its done bit is
         # cleared, so a later lap can never mistake this lap's completion for
         # a fresh delivery when the tail sits right on the slot.
         _U64.pack_into(mem, self._rx_base + off, 0)
         self._inflight = False
-        self.processed = p + 1
-        if (p + 1) % self.flush_period == 0:
+        p += 1
+        self.processed = p
+        # recycle points are flush points: the recycle period is a multiple
+        if p == self._next_flush:
+            self._next_flush = p + self.flush_period
             self._flush()
-        if (p + 1) % self.recycle_period == 0:
-            self.recycle()
+            if p == self._next_recycle:
+                self._next_recycle = p + self.recycle_period
+                self.recycle()
 
     def _flush(self) -> None:
         """Publish the unpublished batch, with RS on its last descriptor.
@@ -197,9 +219,13 @@ class Agent:
 
         The bound is the earliest transmit head across queues: a slot is
         reused only once every queue is done with it. No-op when nothing
-        new has drained.
+        new has drained; returns before reading any head write-back word
+        when the tail already sits at the bound processed - 1 + ring_size,
+        which no head can raise until another packet is processed.
         """
         p = self.processed
+        if self._rdt_unwrapped == p - 1 + self.ring_size:
+            return
         mask = self._mask
         earliest = p
         for q in range(self.num_outputs):
@@ -219,26 +245,31 @@ class Agent:
     def poll(self, processor: Processor) -> bool:
         """One receive attempt; process and file the packet if one is waiting.
 
+        receive() and transmit() in one call, with the same ProtocolViolation
+        rules: if the processor raises, the packet stays outstanding.
+
         An empty poll does the deferred housekeeping instead (publish any
         ragged batch, recycle), which keeps the pipeline live when traffic
         pauses between flush boundaries.
         """
-        got = self.receive()
-        if got is None:
+        if self._inflight:
+            raise ProtocolViolation("previous packet was never transmitted")
+        slot = self.processed & self._mask
+        (meta,) = _U64.unpack_from(self._mem, self._rx_base + slot * DESC_BYTES + 8)
+        if not meta & META_DD:
             self._flush()
             self.recycle()
             return False
-        buf, length = got
-        self.transmit(processor(buf, length, self.num_outputs))
+        self._inflight = True
+        self._file(processor(self.buffers[slot], meta & META_LEN_MASK, self.num_outputs))
         return True
 
     def quiescent(self) -> bool:
         """True when nothing submitted or outstanding remains in flight."""
         if self._inflight or self._published != self.processed:
             return False
-        nic = self.nic
-        return all(nic.reg_read("TDH", q) == nic.reg_read("TDT", q)
-                   for q in range(self.num_outputs))
+        # the device's ring records, read directly: what reg_read returns
+        return all(ring.head == ring.tail for ring in self.nic._tx)
 
     def finish(self, device_budget: int = 1) -> None:
         """Publish everything still pending and step the device until it drains.
@@ -306,8 +337,10 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     PipelineStalled when no frame can enter.
     """
     nic = agent.nic
+    step, poll = nic.step_device, agent.poll
     link = nic.link
     wire = link.rx_pending
+    rx = nic._rx  # read directly: RDH != RDT means the device owns a free slot
     n = len(frames)
     k = 0
     count = 0
@@ -315,15 +348,15 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     while deadline is None or nic.now < deadline:
         if k < n:
             if due is None:
-                if not wire and nic.reg_read("RDH") != nic.reg_read("RDT"):
+                if not wire and rx.head != rx.tail:
                     nic.inject_rx(frames[k])
                     k += 1
             else:
                 while k < n and due[k] <= nic.now:
                     nic.inject_rx(frames[k])
                     k += 1
-        worked = nic.step_device(device_budget)
-        if agent.poll(processor):
+        worked = step(device_budget)
+        if poll(processor):
             count += 1
             if count == max_packets:
                 break

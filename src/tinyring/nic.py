@@ -256,66 +256,68 @@ class Nic:
         transmit queue (persistent round-robin cursor, skipping classes with
         nothing to do). Returns the number of work units spent; dropping an
         undeliverable frame costs one unit like a completion does.
+
+        A transmit completion emits a Frame carrying the (inject_time,
+        order) recorded when its buffer was received and the current step
+        as drain_time; length 0 emits nothing. Retiring an RS descriptor
+        writes the new head to the write-back address, if one is set.
         """
         rx, txs = self._rx, self._tx
-        if not (rx.enabled or any(t.enabled for t in txs)):
+        if not rx.enabled and not any(t.enabled for t in txs):
             raise NotReadyError("device is not enabled")
-        self.now += 1
+        now = self.now = self.now + 1
+        link = self.link
+        wire = link.rx_pending
+        stamps = link.buffer_meta
+        emitted = link.tx_emitted
+        mem = self._mem
         classes = 1 + self.num_tx_queues
+        probes = range(classes)
+        c = self._rr  # class 0 is RX, 1 + q is TX q
         done = 0
         while done < max_work:
-            for probe in range(classes):
-                c = self._rr + probe
-                if c >= classes:
-                    c -= classes
-                if c == 0:
-                    if rx.enabled and self.link.rx_pending:
-                        self._service_rx()
+            for _ in probes:
+                if c:
+                    ring = txs[c - 1]
+                    if ring.enabled and ring.head != ring.tail:
                         break
-                else:
-                    t = txs[c - 1]
-                    if t.enabled and t.head != t.tail:
-                        self._service_tx(c - 1, t)
-                        break
+                elif rx.enabled and wire:
+                    break
+                c = c + 1 if c + 1 < classes else 0
             else:
-                break  # nothing serviceable anywhere
-            self._rr = c + 1 if c + 1 < classes else 0
+                break  # nothing serviceable anywhere; c is back where it started
+            if c:
+                slot = ring.head
+                daddr = ring.base + slot * DESC_BYTES
+                baddr, meta = _DESC.unpack_from(mem, daddr)
+                length = meta & META_LEN_MASK
+                if length:
+                    inject_time, order = stamps.get(baddr, (None, None))
+                    emitted[c - 1].append(
+                        Frame(bytes(mem[baddr:baddr + length]), inject_time, now, order))
+                _U64.pack_into(mem, daddr + 8, meta | META_DD)
+                slot = (slot + 1) & (ring.length - 1)
+                ring.head = slot
+                if meta & META_RS and ring.wb:
+                    _U32.pack_into(mem, ring.wb, slot)
+            else:
+                frame = wire.popleft()
+                slot = rx.head
+                if slot == rx.tail:
+                    # no device-owned descriptor: the wire does not wait
+                    link.rx_dropped += 1
+                else:
+                    daddr = rx.base + slot * DESC_BYTES
+                    (baddr,) = _U64.unpack_from(mem, daddr)
+                    payload = frame.payload
+                    n = len(payload)
+                    mem[baddr:baddr + n] = payload
+                    # payload first, then the whole metadata word: the publish order
+                    _U64.pack_into(mem, daddr + 8, n | META_EOP | META_DD)
+                    rx.head = (slot + 1) & (rx.length - 1)
+                    link.rx_delivered += 1
+                    stamps[baddr] = (frame.inject_time, frame.order)
+            c = c + 1 if c + 1 < classes else 0
             done += 1
+        self._rr = c
         return done
-
-    def _service_rx(self) -> None:
-        link = self.link
-        rx = self._rx
-        frame = link.rx_pending.popleft()
-        if rx.head == rx.tail:
-            # no device-owned descriptor: the wire does not wait
-            link.rx_dropped += 1
-            return
-        slot = rx.head
-        daddr = rx.base + slot * DESC_BYTES
-        (baddr,) = _U64.unpack_from(self._mem, daddr)
-        payload = frame.payload
-        n = len(payload)
-        self._mem[baddr:baddr + n] = payload
-        # payload first, then the whole metadata word: the publish order
-        _U64.pack_into(self._mem, daddr + 8, n | META_EOP | META_DD)
-        rx.head = (slot + 1) & (rx.length - 1)
-        link.rx_delivered += 1
-        link.buffer_meta[baddr] = (frame.inject_time, frame.order)
-
-    def _service_tx(self, q: int, ring: _Ring) -> None:
-        slot = ring.head
-        daddr = ring.base + slot * DESC_BYTES
-        baddr, meta = _DESC.unpack_from(self._mem, daddr)
-        length = meta & META_LEN_MASK
-        if length:
-            frame = Frame(bytes(self._mem[baddr:baddr + length]), drain_time=self.now)
-            timing = self.link.buffer_meta.get(baddr)
-            if timing is not None:
-                frame.inject_time, frame.order = timing
-            self.link.tx_emitted[q].append(frame)
-        _U64.pack_into(self._mem, daddr + 8, meta | META_DD)
-        slot = (slot + 1) & (ring.length - 1)
-        ring.head = slot
-        if meta & META_RS and ring.wb:
-            _U32.pack_into(self._mem, ring.wb, slot)

@@ -1,5 +1,6 @@
 """Agent ring protocol: init, alternation, batching, recycling, forwarding."""
 
+import hashlib
 import random
 import struct
 
@@ -12,7 +13,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
 from tinyring import (DESC_BYTES, META_DD, META_RS, Agent, Frame, MemEnv, Nic,
                       PipelineStalled, ProtocolViolation, build_pipeline,
                       forward_trace, gen_traffic, identity, macswap, ownership,
-                      policer, ref_init)
+                      policer, ref_init, service_rate)
 
 U64 = struct.Struct("<Q")
 
@@ -105,6 +106,56 @@ class TestRingProtocol:
         feed_one(nic, agent, b"a" * 64)
         with pytest.raises(ValueError):
             agent.transmit([2049])
+
+    @pytest.mark.parametrize("bad", [64.0, "64", None])
+    def test_transmit_non_integer_length(self, bad):
+        env, nic, agent = make(num_outputs=2, flush_period=1)
+        feed_one(nic, agent, b"n" * 64)
+        meta0 = agent._tx_bases[0] + 8
+        before = U64.unpack_from(env.dma, meta0)[0]
+        with pytest.raises(ValueError):
+            agent.transmit([64, bad])
+        assert U64.unpack_from(env.dma, meta0)[0] == before  # nothing half-filed
+        agent.transmit([64, True])  # bool is an int
+        nic.step_device(8)
+        assert [f.payload for f in nic.drain_tx(0)] == [b"n" * 64]
+        assert [len(f.payload) for f in nic.drain_tx(1)] == [1]
+
+    def test_poll_after_receive_violates_protocol(self):
+        _, nic, agent = make()
+        feed_one(nic, agent, b"a" * 64)
+        with pytest.raises(ProtocolViolation):
+            agent.poll(identity())
+
+    def test_processor_error_leaves_packet_outstanding(self):
+        _, nic, agent = make(flush_period=1)
+        nic.inject_rx(Frame(b"e" * 64))
+        nic.step_device(1)
+
+        def boom(buf, length, num_outputs):
+            raise RuntimeError("processor failed")
+
+        with pytest.raises(RuntimeError):
+            agent.poll(boom)
+        assert agent.processed == 0
+        with pytest.raises(ProtocolViolation):
+            agent.poll(identity())
+        agent.transmit([64])  # the caller may still file it
+        nic.step_device(4)
+        assert agent.processed == 1
+        assert [f.payload for f in nic.drain_tx(0)] == [b"e" * 64]
+
+    def test_poll_checks_processor_lengths(self):
+        env, nic, agent = make(num_outputs=2, flush_period=1)
+        nic.inject_rx(Frame(b"p" * 64))
+        nic.step_device(1)
+        with pytest.raises(ValueError):
+            agent.poll(lambda buf, length, num_outputs: [length, 64.0])
+        assert U64.unpack_from(env.dma, agent._tx_bases[0] + 8)[0] == 0
+        with pytest.raises(ProtocolViolation):
+            agent.poll(identity())
+        agent.transmit([64, 64])
+        assert agent.processed == 1
 
     def test_forward_one(self):
         _, nic, agent = make(flush_period=1)
@@ -305,6 +356,60 @@ class TestStalledPipeline:
         agent.transmit([64, 64])
         with pytest.raises(PipelineStalled):
             agent.finish()
+
+
+# sha256 of emission_digest's record for each injection mode. Any change to
+# the round-robin order, RS timing, drops or stamps moves them; only a
+# deliberate change of device or agent behaviour may re-record them.
+EMISSION_DIGESTS = {
+    "flow": "bd8ff5de59f8352cc013a4a6d8d7f839972ea586bb22736743b7b64b553ace2f",
+    "timed": "e72e6ccc77ee10ad0c041842fce610a01e2373e04ac2e21fbf742390c3d4090e",
+    "run": "3c13ec7e82da3ed241d3e9ce756ed051a0be478da3beffd676d24853170b2de3",
+}
+
+
+def emission_digest(mode):
+    """Hash everything observable after policer(100) forwards IMIX-sized
+    frames over 2-4 outputs with device budgets 1-5: every output's
+    (order, inject_time, drain_time, payload), the register file, the link
+    counters, the clock and the whole DMA arena."""
+    h = hashlib.sha256()
+    for outputs in (2, 3, 4):
+        for budget in range(1, 6):
+            ring = (8, 16, 64)[budget % 3]
+            flush, recycle = ((1, 8), (8, 64), (4, 8), (2, 16))[(outputs + budget) % 4]
+            env, nic, agent = make(ring, outputs, flush_period=flush, recycle_period=recycle)
+            rng = random.Random(100 * outputs + budget)
+            frames = [Frame(rng.randbytes(size)) for size in
+                      rng.choices((64, 576, 1500), weights=(7, 4, 1), k=240)]
+            if mode == "flow":
+                forward_trace(agent, frames, policer(100), budget)
+            elif mode == "timed":
+                load = 2 * service_rate(budget, outputs)  # overload: the ring drops
+                due = [k * 1000 // load for k in range(len(frames))]
+                forward_trace(agent, frames, policer(100), budget, due=due,
+                              deadline=due[-1] + 40)
+            else:
+                for f in frames:
+                    nic.inject_rx(f)
+                agent.run(policer(100), max_packets=len(frames), device_budget=budget)
+            regs = [nic.reg_read(r) for r in ("RDBA", "RDLEN", "RDH", "RDT", "RXEN")]
+            regs += [nic.reg_read(r, q) for q in range(outputs)
+                     for r in ("TDBA", "TDLEN", "TDH", "TDT", "TXEN", "TDWBA")]
+            link = nic.link
+            h.update(repr((outputs, budget, nic.now, regs, link.injected,
+                           link.rx_delivered, link.rx_dropped, agent.processed)).encode())
+            for q in range(outputs):
+                for f in nic.drain_tx(q):
+                    h.update(repr((q, f.order, f.inject_time, f.drain_time,
+                                   f.payload)).encode())
+            h.update(env.dma)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(EMISSION_DIGESTS))
+def test_emission_digest(mode):
+    assert emission_digest(mode) == EMISSION_DIGESTS[mode]
 
 
 traces = st.lists(st.binary(min_size=12, max_size=256), min_size=1, max_size=60)
