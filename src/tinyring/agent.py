@@ -293,8 +293,7 @@ class Agent:
         packet has been forwarded. Returns the number of packets processed
         by this call.
         """
-        count = (forward_trace(self, (), processor, device_budget, max_packets=max_packets)
-                 if max_packets > 0 else 0)
+        count = forward_trace(self, (), processor, device_budget, max_packets=max_packets)
         self.finish(device_budget)
         return count
 
@@ -327,8 +326,9 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
 
     Runs until every frame is off the wire, every delivered packet has been
     processed and the agent is quiescent; stops early when the clock
-    reaches deadline or after max_packets packets. Returns the number of
-    packets processed.
+    reaches deadline or after max_packets packets. max_packets 0 returns 0
+    without stepping; a negative one raises ValueError. Returns the number
+    of packets processed.
 
     Two steps in a row in which the device retires nothing and the poll
     finds nothing leave every later step unchanged until a frame enters:
@@ -336,6 +336,10 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     moves the clock straight to the next due frame, or raises
     PipelineStalled when no frame can enter.
     """
+    if max_packets is not None and max_packets < 1:
+        if max_packets:
+            raise ValueError(f"max_packets must not be negative, got {max_packets}")
+        return 0
     nic = agent.nic
     step, poll = nic.step_device, agent.poll
     link = nic.link

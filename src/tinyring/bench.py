@@ -218,11 +218,16 @@ def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
                         trace_length: int = DEFAULT_TRACE_LENGTH,
                         seed: int = 0, frames: Sequence[Frame] | None = None,
                         device_budget: int = DEVICE_BUDGET) -> LoadPoint:
-    """Largest load on the SEARCH_GRANULARITY grid whose loss stays under the bound.
+    """A load on the SEARCH_GRANULARITY grid at which loss stays under the bound.
 
-    Binary search; sound because loss is non-decreasing in offered load for
-    a fixed seed and configuration. Raises NoSustainableLoad when even the
-    lowest grid load loses too much.
+    Binary search over the grid up to MAX_LOAD_PER_BUDGET * device_budget.
+    It guarantees that the returned load was measured and passed, and that
+    the next grid load up was measured and failed, unless the returned load
+    is the top of the grid. Loss is not always non-decreasing in offered
+    load, so a higher grid load may pass as well: with ("identity", 8, 2)
+    and device_budget=2 the search returns 592, loads 608 and 624 fail, and
+    640 to 672 lose nothing. Raises NoSustainableLoad when even the lowest
+    grid load loses too much.
     """
     return _search_max_throughput(nf, ring_size, num_outputs, loss_bound,
                                   packet_size=packet_size, trace_length=trace_length,

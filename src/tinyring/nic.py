@@ -52,6 +52,7 @@ MAX_RING = 65536
 _DESC = struct.Struct("<QQ")
 _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
+_NO_ADDR = 1 << 64  # above every address a descriptor can hold
 
 
 class InvalidRegisterError(Exception):
@@ -261,6 +262,15 @@ class Nic:
         order) recorded when its buffer was received and the current step
         as drain_time; length 0 emits nothing. Retiring an RS descriptor
         writes the new head to the write-back address, if one is set.
+
+        Completions of the same bytes within one step share one payload
+        object: a completion that reads the buffer address and length the
+        last copy read reuses that bytes object, unless a device write of
+        this step (receive payload, receive metadata, done bit, head
+        write-back) has overlapped the copied range since. Nothing else
+        writes memory during a step, so each payload still holds exactly
+        the bytes in memory at its own completion. Payloads are immutable
+        bytes, so callers cannot tell a shared one from a fresh copy.
         """
         rx, txs = self._rx, self._tx
         if not rx.enabled and not any(t.enabled for t in txs):
@@ -272,34 +282,55 @@ class Nic:
         emitted = link.tx_emitted
         mem = self._mem
         classes = 1 + self.num_tx_queues
-        probes = range(classes)
         c = self._rr  # class 0 is RX, 1 + q is TX q
+        # shared is the last payload copied this step and [lo, hi) the range
+        # it was copied from. With no copy the range is [_NO_ADDR, -1), which
+        # every overlap test below rejects at its first compare.
+        lo, hi = _NO_ADDR, -1
         done = 0
         while done < max_work:
-            for _ in probes:
-                if c:
-                    ring = txs[c - 1]
-                    if ring.enabled and ring.head != ring.tail:
-                        break
-                elif rx.enabled and wire:
-                    break
-                c = c + 1 if c + 1 < classes else 0
+            if c:
+                ring = txs[c - 1]
+                idle = ring.head == ring.tail or not ring.enabled
             else:
-                break  # nothing serviceable anywhere; c is back where it started
+                idle = not wire or not rx.enabled
+            if idle:
+                # move the cursor on to the next class with work; after a full
+                # lap it is back on the class it started from
+                for _ in range(classes):
+                    c += 1
+                    if c == classes:
+                        c = 0
+                    if c:
+                        ring = txs[c - 1]
+                        if ring.enabled and ring.head != ring.tail:
+                            break
+                    elif rx.enabled and wire:
+                        break
+                else:
+                    break
             if c:
                 slot = ring.head
                 daddr = ring.base + slot * DESC_BYTES
                 baddr, meta = _DESC.unpack_from(mem, daddr)
                 length = meta & META_LEN_MASK
                 if length:
+                    end = baddr + length
+                    if baddr != lo or end != hi:
+                        shared = bytes(mem[baddr:end])
+                        lo, hi = baddr, end
                     inject_time, order = stamps.get(baddr, (None, None))
-                    emitted[c - 1].append(
-                        Frame(bytes(mem[baddr:baddr + length]), inject_time, now, order))
+                    emitted[c - 1].append(Frame(shared, inject_time, now, order))
                 _U64.pack_into(mem, daddr + 8, meta | META_DD)
+                if lo < daddr + 16 and daddr + 8 < hi:
+                    lo, hi = _NO_ADDR, -1
                 slot = (slot + 1) & (ring.length - 1)
                 ring.head = slot
                 if meta & META_RS and ring.wb:
-                    _U32.pack_into(mem, ring.wb, slot)
+                    wb = ring.wb
+                    _U32.pack_into(mem, wb, slot)
+                    if wb < hi and lo < wb + 4:
+                        lo, hi = _NO_ADDR, -1
             else:
                 frame = wire.popleft()
                 slot = rx.head
@@ -314,10 +345,14 @@ class Nic:
                     mem[baddr:baddr + n] = payload
                     # payload first, then the whole metadata word: the publish order
                     _U64.pack_into(mem, daddr + 8, n | META_EOP | META_DD)
+                    if (baddr < hi and lo < baddr + n) or (lo < daddr + 16 and daddr + 8 < hi):
+                        lo, hi = _NO_ADDR, -1
                     rx.head = (slot + 1) & (rx.length - 1)
                     link.rx_delivered += 1
                     stamps[baddr] = (frame.inject_time, frame.order)
-            c = c + 1 if c + 1 < classes else 0
+            c += 1
+            if c == classes:
+                c = 0
             done += 1
         self._rr = c
         return done

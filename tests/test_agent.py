@@ -296,6 +296,29 @@ class TestRun:
         assert [f.order for f in nic.drain_tx(0)] == list(range(5, 20))
         assert nic.link.rx_dropped == 0
 
+    def test_zero_packet_cap_does_nothing(self):
+        _, nic, agent = make(ring_size=16)
+        frames = gen_traffic(20, 64, 5)
+        assert forward_trace(agent, frames, identity(), max_packets=0) == 0
+        assert (nic.now, nic.link.injected) == (0, 0)
+        for f in frames:
+            nic.inject_rx(f)
+        assert agent.run(identity(), max_packets=0) == 0
+        assert nic.now == 0
+        assert len(nic.link.rx_pending) == 20
+
+    def test_negative_packet_cap_rejected(self):
+        _, nic, agent = make(ring_size=16)
+        frames = gen_traffic(20, 64, 5)
+        with pytest.raises(ValueError):
+            forward_trace(agent, frames, identity(), max_packets=-1)
+        for f in frames:
+            nic.inject_rx(f)
+        with pytest.raises(ValueError):
+            agent.run(identity(), max_packets=-1)
+        assert nic.now == 0
+        assert len(nic.link.rx_pending) == 20
+
     def test_buffer_set_is_fixed(self):
         _, nic, agent = make(ring_size=64)
         before = [id(b) for b in agent.buffers]

@@ -12,6 +12,7 @@ from tinyring import (CSV_HEADER, DRAIN_ALLOWANCE, SEARCH_GRANULARITY, Agent,
                       NoSustainableLoad, PcapFormatError, find_max_throughput,
                       gen_traffic, make_processor, parse_pcap, percentile,
                       run_load_point, run_sweep, service_rate, write_csv)
+from tinyring.bench import LOSS_BOUND, MAX_LOAD_PER_BUDGET
 from tinyring.cli import main
 
 RECORD_HEADER = struct.Struct("<IIII")
@@ -288,6 +289,28 @@ class TestFindMax:
         lp = find_max_throughput("identity", 256, 1, trace_length=400)
         assert lp.offered_load % SEARCH_GRANULARITY == 0
         assert lp.offered_load >= SEARCH_GRANULARITY
+
+    @pytest.mark.parametrize("ring, outputs, budget, passes_higher", [
+        (8, 2, 2, 640),     # the docstring's case: loss dips again above the result
+        (256, 1, 1, None),  # the bench default
+    ])
+    def test_result_passes_and_next_grid_load_fails(self, ring, outputs, budget,
+                                                    passes_higher):
+        lp = find_max_throughput("identity", ring, outputs, device_budget=budget)
+        frames = gen_traffic(lp.trace_length, lp.packet_size, 0)
+
+        def loss(load):
+            return run_load_point(LoadPoint(load, lp.packet_size, lp.trace_length),
+                                  "identity", ring, outputs, frames=frames,
+                                  device_budget=budget).loss_fraction
+
+        assert loss(lp.offered_load) < LOSS_BOUND
+        above = lp.offered_load + SEARCH_GRANULARITY
+        if above <= MAX_LOAD_PER_BUDGET * budget:
+            assert loss(above) >= LOSS_BOUND
+        if passes_higher is not None:
+            # the guarantee is all there is: a higher grid load can pass again
+            assert loss(passes_higher) < LOSS_BOUND
 
 
 class TestRunSweep:

@@ -323,6 +323,126 @@ class TestStepping:
             prev = head
 
 
+def two_queues_on_one_buffer(lengths=(64, 64), rx=False):
+    """Two transmit queues whose next descriptors both point at one buffer.
+
+    Returns (env, nic, [ring 0, ring 1], buffer address). Nothing is
+    published yet; the caller writes TDT when the stage is set.
+    """
+    env = MemEnv()
+    nic = Nic(env, 2)
+    if rx:
+        rx_ring(env, nic)
+    rings = [tx_ring(env, nic, queue=q)[0] for q in (0, 1)]
+    buf = env.allocate_dma(MAX_FRAME).phys_base
+    env.dma[buf:buf + MAX_FRAME] = bytes(i & 0xFF for i in range(MAX_FRAME))
+    for ring, n in zip(rings, lengths):
+        U64.pack_into(env.dma, ring.phys_base, buf)
+        U64.pack_into(env.dma, ring.phys_base + 8, n)
+    return env, nic, [r.phys_base for r in rings], buf
+
+
+class TestSharedPayload:
+    """Completions of the same bytes in one step share one payload object,
+    and every payload still holds the bytes in memory at its completion."""
+
+    def publish_and_step(self, nic, budget=2):
+        nic.reg_write("TDT", 1, 0)
+        nic.reg_write("TDT", 1, 1)
+        assert nic.step_device(budget) == budget
+        return nic.drain_tx(0), nic.drain_tx(1)
+
+    def test_one_copy_for_both_outputs(self):
+        env, nic, _, buf = two_queues_on_one_buffer()
+        out0, out1 = self.publish_and_step(nic)
+        assert out0[0].payload == out1[0].payload == bytes(range(64))
+        assert out0[0].payload is out1[0].payload
+
+    def test_not_shared_across_steps(self):
+        env, nic, _, buf = two_queues_on_one_buffer()
+        nic.reg_write("TDT", 1, 0)
+        nic.reg_write("TDT", 1, 1)
+        nic.step_device(1)
+        env.dma[buf:buf + 64] = b"\xee" * 64  # software writes between steps
+        nic.step_device(1)
+        assert nic.drain_tx(0)[0].payload == bytes(range(64))
+        assert nic.drain_tx(1)[0].payload == b"\xee" * 64
+
+    def test_distinct_buffers_are_not_shared(self):
+        env, nic, rings, buf = two_queues_on_one_buffer()
+        U64.pack_into(env.dma, rings[1], buf + 64)
+        out0, out1 = self.publish_and_step(nic)
+        assert out0[0].payload == bytes(range(64))
+        assert out1[0].payload == bytes(range(64, 128))
+
+    def test_lengths_differ(self):
+        env, nic, _, buf = two_queues_on_one_buffer(lengths=(576, 100))
+        out0, out1 = self.publish_and_step(nic)
+        assert out0[0].payload == bytes(env.dma[buf:buf + 576])
+        assert out1[0].payload == bytes(env.dma[buf:buf + 100])
+
+    def test_receive_delivery_between_completions(self):
+        env, nic, rings, buf = two_queues_on_one_buffer(rx=True)
+        # a zero-length descriptor ahead on queue 0 puts the cursor on queue 1
+        # after one step, so the next step runs TX 1, RX, TX 0 in that order
+        U64.pack_into(env.dma, rings[0] + DESC_BYTES, buf)
+        U64.pack_into(env.dma, rings[0] + DESC_BYTES + 8, 64)
+        U64.pack_into(env.dma, rings[0] + 8, 0)
+        nic.reg_write("TDT", 1, 0)
+        assert nic.step_device(1) == 1
+        rx_desc = nic.reg_read("RDBA")
+        U64.pack_into(env.dma, rx_desc, buf)  # receive into the same buffer
+        nic.inject_rx(Frame(b"\xaa" * 64))
+        nic.reg_write("TDT", 2, 0)
+        nic.reg_write("TDT", 1, 1)
+        assert nic.step_device(3) == 3
+        assert nic.link.rx_delivered == 1
+        assert nic.drain_tx(1)[0].payload == bytes(range(64))
+        assert nic.drain_tx(0)[0].payload == b"\xaa" * 64
+
+    def test_receive_metadata_inside_buffer(self):
+        env, nic, rings, _ = two_queues_on_one_buffer(lengths=(16, 16), rx=True)
+        # both queues send the receive ring's first descriptor, whose
+        # metadata word the delivery between them rewrites
+        rx_desc = nic.reg_read("RDBA")
+        U64.pack_into(env.dma, rings[0] + DESC_BYTES, rx_desc)
+        U64.pack_into(env.dma, rings[0] + DESC_BYTES + 8, 16)
+        U64.pack_into(env.dma, rings[1], rx_desc)
+        U64.pack_into(env.dma, rings[0] + 8, 0)
+        nic.reg_write("TDT", 1, 0)
+        nic.step_device(1)
+        before = bytes(env.dma[rx_desc:rx_desc + 16])
+        nic.inject_rx(Frame(b"\xaa" * 64))
+        nic.reg_write("TDT", 2, 0)
+        nic.reg_write("TDT", 1, 1)
+        assert nic.step_device(3) == 3
+        assert nic.drain_tx(1)[0].payload == before
+        after = nic.drain_tx(0)[0].payload
+        assert after == bytes(env.dma[rx_desc:rx_desc + 16]) != before
+        assert U64.unpack_from(after, 8)[0] & META_DD
+
+    def test_done_bit_inside_buffer(self):
+        env, nic, rings, _ = two_queues_on_one_buffer(lengths=(16, 16))
+        # both queues send queue 0's own descriptor; its done bit lands in
+        # between the two completions
+        for ring in rings:
+            U64.pack_into(env.dma, ring, rings[0])
+        before = bytes(env.dma[rings[0]:rings[0] + 16])
+        out0, out1 = self.publish_and_step(nic)
+        assert out0[0].payload == before
+        assert out1[0].payload == bytes(env.dma[rings[0]:rings[0] + 16]) != before
+        assert U64.unpack_from(out1[0].payload, 8)[0] & META_DD
+
+    def test_head_writeback_inside_buffer(self):
+        env, nic, rings, buf = two_queues_on_one_buffer()
+        U64.pack_into(env.dma, rings[0] + 8, 64 | META_RS)
+        nic.reg_write("TDWBA", buf + 8, 0)
+        out0, out1 = self.publish_and_step(nic)
+        assert out0[0].payload == bytes(range(64))
+        assert out1[0].payload == bytes(env.dma[buf:buf + 64]) != bytes(range(64))
+        assert U32.unpack_from(out1[0].payload, 8)[0] == 1
+
+
 def run_script(seed):
     """Drive a fixed pseudo-random schedule; returns observable state."""
     rng = random.Random(seed)
