@@ -14,7 +14,7 @@ from .agent import (FLUSH_PERIOD, RECYCLE_PERIOD, Agent, PipelineStalled,
 from .reference import BufferPool, RefPipeline, ref_init
 from .netfuncs import identity, macswap, make_processor, policer
 from .bench import (CSV_HEADER, DEVICE_BUDGET, DRAIN_ALLOWANCE,
-                    SEARCH_GRANULARITY, LoadPoint, LoadPointResult,
+                    SEARCH_GRANULARITY, LoadPointResult,
                     NoSustainableLoad, PcapFormatError, find_max_throughput,
                     gen_traffic, parse_pcap, percentile, run_load_point,
                     run_sweep, service_rate, write_csv)
@@ -25,7 +25,7 @@ __all__ = [
     "Agent", "BufferPool", "CSV_HEADER", "DEFAULT_ARENA_SIZE",
     "DEFAULT_PAGE_SIZE", "DESC_BYTES", "DEVICE_BUDGET", "DRAIN_ALLOWANCE",
     "Descriptor", "DmaRegion", "FLUSH_PERIOD", "Frame",
-    "InvalidRegisterError", "Link", "LoadPoint", "LoadPointResult",
+    "InvalidRegisterError", "Link", "LoadPointResult",
     "MAX_FRAME", "MAX_QUEUES", "META_DD", "META_EOP", "META_LEN_MASK",
     "META_RS", "MemEnv", "Nic", "NoSustainableLoad", "NotReadyError",
     "OutOfMemory", "PcapFormatError", "PipelineStalled", "Processor",

@@ -58,8 +58,8 @@ import struct
 from typing import Callable, Sequence
 
 from .mem import DEFAULT_PAGE_SIZE, MemEnv
-from .nic import (DESC_BYTES, MAX_FRAME, META_DD, META_EOP, META_LEN_MASK,
-                  META_RS, Frame, Nic)
+from .nic import (DESC_BYTES, MAX_FRAME, MAX_RING, META_DD, META_EOP,
+                  META_LEN_MASK, META_RS, MIN_RING, Frame, Nic)
 
 FLUSH_PERIOD = 8
 RECYCLE_PERIOD = 64
@@ -87,8 +87,9 @@ class Agent:
     def __init__(self, env: MemEnv, nic: Nic, ring_size: int, num_outputs: int = 1,
                  flush_period: int = FLUSH_PERIOD,
                  recycle_period: int = RECYCLE_PERIOD) -> None:
-        if ring_size < 2 or ring_size > 65536 or ring_size & (ring_size - 1):
-            raise ValueError(f"ring size must be a power of two in [2, 65536], got {ring_size}")
+        if ring_size < MIN_RING or ring_size > MAX_RING or ring_size & (ring_size - 1):
+            raise ValueError(f"ring size must be a power of two in "
+                             f"[{MIN_RING}, {MAX_RING}], got {ring_size}")
         if num_outputs != nic.num_tx_queues:
             raise ValueError(f"device has {nic.num_tx_queues} transmit queues, "
                              f"agent needs {num_outputs}")

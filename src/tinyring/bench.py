@@ -17,7 +17,7 @@ on output 0 by then; frames the device dropped for lack of receive
 descriptors are lost the same way. The first 10% of the trace warms the
 pipeline up and is excluded from all statistics. Latency is drain step
 minus inject step; percentiles are nearest-rank (the 50th of [1, 2, 3, 4]
-is 2). One deterministic trial per load point, all points sharing a seed.
+is 2). One deterministic trial per load point; all points share one trace.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ LOSS_BOUND = 0.001          # loss fraction a sustainable load must stay under
 MAX_LOAD_PER_BUDGET = 1000  # search ceiling: one packet per step per budget unit
 DEFAULT_TRACE_LENGTH = 2000
 DEFAULT_PACKET_SIZE = 64
-WARMUP_FRACTION = 10        # first trace_length // 10 frames are not measured
+WARMUP_FRACTION = 10        # the first tenth of the trace is not measured
 
 CSV_HEADER = "offered_load,delivered,lost,loss_fraction,latency_p50,latency_p99"
 
@@ -47,21 +47,6 @@ CSV_HEADER = "offered_load,delivered,lost,loss_fraction,latency_p50,latency_p99"
 def service_rate(device_budget: int = DEVICE_BUDGET, num_outputs: int = 1) -> int:
     """Sustainable packets per 1000 steps for a given budget and output count."""
     return 1000 * device_budget // (1 + num_outputs)
-
-
-@dataclass(frozen=True)
-class LoadPoint:
-    offered_load: int  # packets per 1000 steps
-    packet_size: int = DEFAULT_PACKET_SIZE
-    trace_length: int = DEFAULT_TRACE_LENGTH
-
-    def __post_init__(self) -> None:
-        if self.offered_load < 1:
-            raise ValueError(f"offered load must be positive, got {self.offered_load}")
-        if not 1 <= self.packet_size <= MAX_FRAME:
-            raise ValueError(f"packet size must be in [1, {MAX_FRAME}], got {self.packet_size}")
-        if self.trace_length < 1:
-            raise ValueError(f"trace length must be positive, got {self.trace_length}")
 
 
 @dataclass(frozen=True)
@@ -146,36 +131,30 @@ def parse_pcap(data: bytes) -> list[Frame]:
 
 # -- measurement --------------------------------------------------------------
 
-def run_load_point(lp: LoadPoint, nf: Processor | str, ring_size: int,
-                   num_outputs: int, *, seed: int = 0,
-                   frames: Sequence[Frame] | None = None,
+def run_load_point(offered_load: int, frames: Sequence[Frame], nf: Processor | str,
+                   ring_size: int, num_outputs: int, *,
                    device_budget: int = DEVICE_BUDGET) -> LoadPointResult:
-    """Measure one load point on a fresh pipeline.
-
-    frames, when given, replace the generated trace (sizes and payloads of
-    a capture replay); the injection schedule still follows lp.offered_load.
-    """
+    """Measure one load point: inject frames at offered_load on a fresh pipeline."""
+    if offered_load < 1:
+        raise ValueError(f"offered load must be positive, got {offered_load}")
+    if not frames:
+        raise ValueError("the trace is empty")
     processor = make_processor(nf) if isinstance(nf, str) else nf
-    if frames is None:
-        trace = gen_traffic(lp.trace_length, lp.packet_size, seed)
-    else:
-        # fresh Frame objects: injection stamps them, runs must not alias
-        trace = [Frame(f.payload) for f in frames]
+    # fresh Frame objects: injection stamps them, runs must not alias
+    trace = [Frame(f.payload) for f in frames]
     n = len(trace)
     _env, nic, agent = build_pipeline(ring_size, num_outputs)
-    load = lp.offered_load
-    deadline = (n - 1) * 1000 // load + 1 + DRAIN_ALLOWANCE if n else DRAIN_ALLOWANCE
     forward_trace(agent, trace, processor, device_budget,
-                  due=[k * 1000 // load for k in range(n)], deadline=deadline)
+                  due=[k * 1000 // offered_load for k in range(n)],
+                  deadline=(n - 1) * 1000 // offered_load + 1 + DRAIN_ALLOWANCE)
 
     warm = n // WARMUP_FRACTION
     measured = n - warm
-    got = [f for f in nic.drain_tx(0) if f.order is not None and f.order >= warm]
+    got = [f for f in nic.drain_tx(0) if f.order >= warm]
     delivered = len(got)
     lost = measured - delivered
     latencies = [f.drain_time - f.inject_time for f in got]
-    return LoadPointResult(load, delivered, lost,
-                           lost / measured if measured else 0.0,
+    return LoadPointResult(offered_load, delivered, lost, lost / measured,
                            percentile(latencies, 50), percentile(latencies, 99))
 
 
@@ -183,25 +162,19 @@ class NoSustainableLoad(ValueError):
     """No load on the search grid keeps loss under the bound."""
 
 
-def _search_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
-                           loss_bound: float = LOSS_BOUND, *,
-                           packet_size: int = DEFAULT_PACKET_SIZE,
-                           trace_length: int = DEFAULT_TRACE_LENGTH,
-                           seed: int = 0, frames: Sequence[Frame] | None = None,
-                           device_budget: int = DEVICE_BUDGET,
-                           ) -> tuple[LoadPoint, dict[int, LoadPointResult]]:
-    """find_max_throughput, plus every result it measured on the way, by load."""
-    if frames is None:
-        frames = gen_traffic(trace_length, packet_size, seed)
+def _search_max_throughput(frames: Sequence[Frame], nf: Processor | str,
+                           ring_size: int, num_outputs: int, loss_bound: float,
+                           device_budget: int,
+                           ) -> tuple[LoadPointResult, dict[int, LoadPointResult]]:
+    """The knee's result, plus every result measured on the way, by load."""
     measured: dict[int, LoadPointResult] = {}
     ceiling = MAX_LOAD_PER_BUDGET * device_budget
     lo, hi = 0, ceiling // SEARCH_GRANULARITY
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        lp = LoadPoint(mid * SEARCH_GRANULARITY, packet_size, trace_length)
-        res = run_load_point(lp, nf, ring_size, num_outputs, frames=frames,
-                             device_budget=device_budget)
-        measured[lp.offered_load] = res
+        load = mid * SEARCH_GRANULARITY
+        res = measured[load] = run_load_point(load, frames, nf, ring_size, num_outputs,
+                                              device_budget=device_budget)
         if res.loss_fraction < loss_bound:
             lo = mid
         else:
@@ -209,7 +182,7 @@ def _search_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int
     if lo == 0:
         raise NoSustainableLoad(f"no load on the {SEARCH_GRANULARITY}-wide grid up to "
                                 f"{ceiling} keeps loss under {loss_bound}")
-    return LoadPoint(lo * SEARCH_GRANULARITY, packet_size, trace_length), measured
+    return measured[lo * SEARCH_GRANULARITY], measured
 
 
 def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
@@ -217,9 +190,11 @@ def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
                         packet_size: int = DEFAULT_PACKET_SIZE,
                         trace_length: int = DEFAULT_TRACE_LENGTH,
                         seed: int = 0, frames: Sequence[Frame] | None = None,
-                        device_budget: int = DEVICE_BUDGET) -> LoadPoint:
-    """A load on the SEARCH_GRANULARITY grid at which loss stays under the bound.
+                        device_budget: int = DEVICE_BUDGET) -> LoadPointResult:
+    """The measured result of a load on the SEARCH_GRANULARITY grid at which
+    loss stays under the bound.
 
+    The trace is frames, or else gen_traffic(trace_length, packet_size, seed).
     Binary search over the grid up to MAX_LOAD_PER_BUDGET * device_budget.
     It guarantees that the returned load was measured and passed, and that
     the next grid load up was measured and failed, unless the returned load
@@ -229,9 +204,10 @@ def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
     640 to 672 lose nothing. Raises NoSustainableLoad when even the lowest
     grid load loses too much.
     """
-    return _search_max_throughput(nf, ring_size, num_outputs, loss_bound,
-                                  packet_size=packet_size, trace_length=trace_length,
-                                  seed=seed, frames=frames, device_budget=device_budget)[0]
+    if frames is None:
+        frames = gen_traffic(trace_length, packet_size, seed)
+    return _search_max_throughput(frames, nf, ring_size, num_outputs, loss_bound,
+                                  device_budget)[0]
 
 
 def run_sweep(nf: Processor | str, ring_size: int, num_outputs: int, step: int, *,
@@ -241,25 +217,23 @@ def run_sweep(nf: Processor | str, ring_size: int, num_outputs: int, step: int, 
               device_budget: int = DEVICE_BUDGET) -> list[LoadPointResult]:
     """Load points from step up to the discovered maximum, inclusive.
 
-    The maximum is appended as a final point when it is not a multiple of
-    the step. Points the search already measured are not run again.
+    The trace is chosen as in find_max_throughput. The maximum is appended
+    as a final point when it is not a multiple of the step. Points the
+    search already measured are not run again.
     """
     if step < 1:
         raise ValueError(f"sweep step must be positive, got {step}")
     if frames is None:
         frames = gen_traffic(trace_length, packet_size, seed)
-    best, measured = _search_max_throughput(nf, ring_size, num_outputs,
-                                            packet_size=packet_size,
-                                            trace_length=trace_length, frames=frames,
-                                            device_budget=device_budget)
+    best, measured = _search_max_throughput(frames, nf, ring_size, num_outputs,
+                                            LOSS_BOUND, device_budget)
     loads = list(range(step, best.offered_load + 1, step))
     if not loads or loads[-1] != best.offered_load:
         loads.append(best.offered_load)
     for load in loads:
         if load not in measured:
-            measured[load] = run_load_point(
-                LoadPoint(load, packet_size, trace_length), nf, ring_size,
-                num_outputs, frames=frames, device_budget=device_budget)
+            measured[load] = run_load_point(load, frames, nf, ring_size, num_outputs,
+                                            device_budget=device_budget)
     return [measured[load] for load in loads]
 
 

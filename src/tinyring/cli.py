@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import (PcapFormatError, _search_max_throughput, parse_pcap,
-                    run_sweep, write_csv)
+from .bench import (DEFAULT_PACKET_SIZE, DEFAULT_TRACE_LENGTH, PcapFormatError,
+                    find_max_throughput, parse_pcap, run_sweep, write_csv)
 from .netfuncs import make_processor
 
 
@@ -32,10 +32,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="descriptor ring size, a power of two (default 256)")
     p.add_argument("--outputs", type=int, default=1,
                    help="number of transmit outputs (default 1)")
-    p.add_argument("--packets", type=int, default=2000,
-                   help="trace length per load point (default 2000)")
-    p.add_argument("--packet-size", type=int, default=64,
-                   help="generated frame size in bytes (default 64)")
+    p.add_argument("--packets", type=int, default=DEFAULT_TRACE_LENGTH,
+                   help="generated trace length (default %(default)s)")
+    p.add_argument("--packet-size", type=int, default=DEFAULT_PACKET_SIZE,
+                   help="generated frame size in bytes (default %(default)s)")
     p.add_argument("--step", type=int, default=100,
                    help="sweep increment in packets per 1000 steps (default 100)")
     p.add_argument("--seed", type=int, default=0,
@@ -54,20 +54,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         nf = make_processor(args.nf, min_len=args.policer_min_len)
         frames = None
-        trace_length = args.packets
         if args.pcap:
             with open(args.pcap, "rb") as fh:
                 frames = parse_pcap(fh.read())
-            trace_length = len(frames)
 
-        common = dict(packet_size=args.packet_size, trace_length=trace_length,
+        common = dict(packet_size=args.packet_size, trace_length=args.packets,
                       seed=args.seed, frames=frames)
         if args.max_only:
-            best, measured = _search_max_throughput(nf, args.ring_size, args.outputs,
-                                                    **common)
-            result = measured[best.offered_load]
+            result = find_max_throughput(nf, args.ring_size, args.outputs, **common)
             write_csv([result], args.csv)
-            print(f"max load {best.offered_load} packets per 1000 steps "
+            print(f"max load {result.offered_load} packets per 1000 steps "
                   f"(loss {result.loss_fraction:.6f}, p50 {result.latency_p50}, "
                   f"p99 {result.latency_p99})")
         else:

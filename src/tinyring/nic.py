@@ -36,7 +36,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 
-from .mem import MemEnv
+from .mem import MemEnv, TranslationFault
 
 DESC_BYTES = 16
 META_LEN_MASK = 0xFFFF
@@ -263,6 +263,11 @@ class Nic:
         as drain_time; length 0 emits nothing. Retiring an RS descriptor
         writes the new head to the write-back address, if one is set.
 
+        A descriptor whose buffer runs past the DMA arena raises
+        TranslationFault before the device writes or emits anything for
+        it: a receive frame goes back to the head of the wire, and the
+        ring's head and the link counters stay as they were.
+
         Completions of the same bytes within one step share one payload
         object: a completion that reads the buffer address and length the
         last copy read reuses that bytes object, unless a device write of
@@ -318,6 +323,10 @@ class Nic:
                     end = baddr + length
                     if baddr != lo or end != hi:
                         shared = bytes(mem[baddr:end])
+                        if len(shared) != length:  # the slice stopped at the arena's end
+                            raise TranslationFault(f"transmit queue {c - 1} slot {slot}: "
+                                                   f"buffer {baddr:#x}+{length} lies "
+                                                   f"outside the DMA arena")
                         lo, hi = baddr, end
                     inject_time, order = stamps.get(baddr, (None, None))
                     emitted[c - 1].append(Frame(shared, inject_time, now, order))
@@ -342,7 +351,12 @@ class Nic:
                     (baddr,) = _U64.unpack_from(mem, daddr)
                     payload = frame.payload
                     n = len(payload)
-                    mem[baddr:baddr + n] = payload
+                    try:
+                        mem[baddr:baddr + n] = payload
+                    except ValueError:  # the slice stopped at the arena's end
+                        wire.appendleft(frame)
+                        raise TranslationFault(f"receive slot {slot}: buffer {baddr:#x}+{n} "
+                                               f"lies outside the DMA arena") from None
                     # payload first, then the whole metadata word: the publish order
                     _U64.pack_into(mem, daddr + 8, n | META_EOP | META_DD)
                     if (baddr < hi and lo < baddr + n) or (lo < daddr + 16 and daddr + 8 < hi):

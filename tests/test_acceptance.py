@@ -15,7 +15,7 @@ from tinyring import (DEFAULT_PAGE_SIZE, SEARCH_GRANULARITY, Descriptor, Frame, 
                       TranslationFault, build_pipeline, decode_descriptor,
                       encode_descriptor, forward_trace, gen_traffic, identity,
                       macswap, ownership, policer, ref_init, run_load_point,
-                      run_sweep, service_rate, write_csv, LoadPoint)
+                      run_sweep, service_rate, write_csv)
 
 import pytest
 
@@ -232,8 +232,9 @@ def test_c09_benchmark_methodology():
     assert abs(best.offered_load - rate) <= SEARCH_GRANULARITY
     fractions = [r.loss_fraction for r in results]
     # extend past the knee: loss must keep rising monotonically into overload
+    frames = gen_traffic(2000, 64, 0)  # the sweep's default trace
     for load in (560, 640, 800):
-        r = run_load_point(LoadPoint(load), "identity", 256, 1)
+        r = run_load_point(load, frames, "identity", 256, 1)
         fractions.append(r.loss_fraction)
     assert fractions == sorted(fractions)
     assert fractions[-1] > 0

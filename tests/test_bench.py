@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinyring import (CSV_HEADER, DRAIN_ALLOWANCE, SEARCH_GRANULARITY, Agent,
-                      Frame, LoadPoint, LoadPointResult, MemEnv, Nic,
+                      Frame, LoadPointResult, MemEnv, Nic,
                       NoSustainableLoad, PcapFormatError, find_max_throughput,
                       gen_traffic, make_processor, parse_pcap, percentile,
                       run_load_point, run_sweep, service_rate, write_csv)
-from tinyring.bench import LOSS_BOUND, MAX_LOAD_PER_BUDGET
+from tinyring.bench import (DEFAULT_PACKET_SIZE, DEFAULT_TRACE_LENGTH, LOSS_BOUND,
+                            MAX_LOAD_PER_BUDGET)
 from tinyring.cli import main
 
 RECORD_HEADER = struct.Struct("<IIII")
@@ -74,6 +75,8 @@ class TestGenTraffic:
         assert gen_traffic(0, 64, 1) == []
 
     def test_size_bounds(self):
+        with pytest.raises(ValueError):
+            gen_traffic(1, 0, 0)
         with pytest.raises(ValueError):
             gen_traffic(1, 11, 0)
         with pytest.raises(ValueError):
@@ -138,63 +141,61 @@ class TestParsePcap:
         assert frames[0].payload == (bytes(range(256)) * 12)[:2048]
 
 
-class TestLoadPoint:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LoadPoint(0)
-        with pytest.raises(ValueError):
-            LoadPoint(100, packet_size=0)
-        with pytest.raises(ValueError):
-            LoadPoint(100, packet_size=2049)
-        with pytest.raises(ValueError):
-            LoadPoint(100, trace_length=0)
+TRACE_400 = gen_traffic(400, 64, 0)
 
 
 class TestRunLoadPoint:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            run_load_point(0, TRACE_400, "identity", 256, 1)
+        with pytest.raises(ValueError):
+            run_load_point(100, [], "identity", 256, 1)
+
+    def test_empty_trace_rejected_by_search_and_sweep(self):
+        # an empty trace measures nothing, so it cannot pass or fail a load
+        with pytest.raises(ValueError):
+            find_max_throughput("identity", 256, 1, frames=[])
+        with pytest.raises(ValueError):
+            run_sweep("identity", 256, 1, 100, frames=[])
+
     def test_underload_is_lossless(self):
-        res = run_load_point(LoadPoint(100, 64, 400), "identity", 256, 1)
+        res = run_load_point(100, TRACE_400, "identity", 256, 1)
         assert res.loss_fraction == 0.0
         assert res.lost == 0
         assert res.delivered == 360  # warm-up tenth excluded
 
     def test_overload_loses(self):
-        res = run_load_point(LoadPoint(900, 64, 400), "identity", 256, 1)
+        res = run_load_point(900, TRACE_400, "identity", 256, 1)
         assert res.lost > 0
         assert 0.0 < res.loss_fraction <= 1.0
 
     def test_measured_window_conserved(self):
         for load in (100, 900):
-            res = run_load_point(LoadPoint(load, 64, 400), "identity", 256, 1)
+            res = run_load_point(load, TRACE_400, "identity", 256, 1)
             assert res.delivered + res.lost == 360
 
     def test_warmup_exclusion_count(self):
-        res = run_load_point(LoadPoint(50, 64, 20), "identity", 64, 1)
+        res = run_load_point(50, gen_traffic(20, 64, 0), "identity", 64, 1)
         assert res.delivered + res.lost == 18
 
     def test_latency_rises_toward_saturation(self):
-        low = run_load_point(LoadPoint(100, 64, 400), "identity", 256, 1)
-        near = run_load_point(LoadPoint(480, 64, 400), "identity", 256, 1)
+        low = run_load_point(100, TRACE_400, "identity", 256, 1)
+        near = run_load_point(480, TRACE_400, "identity", 256, 1)
         assert low.latency_p50 <= near.latency_p50
         assert low.latency_p50 <= low.latency_p99
 
     def test_deterministic(self):
-        a = run_load_point(LoadPoint(300, 64, 400), "macswap", 256, 1, seed=5)
-        b = run_load_point(LoadPoint(300, 64, 400), "macswap", 256, 1, seed=5)
+        a = run_load_point(300, gen_traffic(400, 64, 5), "macswap", 256, 1)
+        b = run_load_point(300, gen_traffic(400, 64, 5), "macswap", 256, 1)
         assert a == b
-
-    def test_replayed_frames_override_trace(self):
-        frames = gen_traffic(50, 128, 7)
-        res = run_load_point(LoadPoint(100, 64, 400), "identity", 256, 1,
-                             frames=frames)
-        assert res.delivered + res.lost == 45
 
     def test_replay_does_not_mutate_source(self):
         frames = gen_traffic(10, 64, 7)
-        run_load_point(LoadPoint(100, 64, 400), "identity", 256, 1, frames=frames)
+        run_load_point(100, frames, "identity", 256, 1)
         assert all(f.inject_time is None for f in frames)
 
 
-def naive_load_point(lp, nf, ring_size, num_outputs, frames, device_budget):
+def naive_load_point(load, nf, ring_size, num_outputs, frames, device_budget):
     """The plain lockstep loop: inject what is due, step, poll, every step.
 
     Returns the result and the frames emitted on output 0, stamps included.
@@ -205,7 +206,6 @@ def naive_load_point(lp, nf, ring_size, num_outputs, frames, device_budget):
     nic = Nic(env, num_outputs)
     agent = Agent(env, nic, ring_size, num_outputs)
     processor = make_processor(nf)
-    load = lp.offered_load
     deadline = (n - 1) * 1000 // load + 1 + DRAIN_ALLOWANCE
     k = 0
     while nic.now < deadline:
@@ -246,23 +246,20 @@ def test_load_point_matches_naive_lockstep_loop(data):
     nf = data.draw(st.sampled_from(["identity", "macswap", "policer"]), label="nf")
     size = data.draw(st.integers(12, 1500), label="size")
     n = data.draw(st.integers(1, 120), label="trace length")
-    lp = LoadPoint(load, size, n)
     frames = data.draw(st.one_of(
         st.none(),
         st.lists(st.binary(min_size=1, max_size=300), min_size=1, max_size=120)
         .map(lambda ps: [Frame(p) for p in ps])), label="frames")
     drained = []
+    trace = frames if frames is not None else gen_traffic(n, size, 3)
     with pytest.MonkeyPatch.context() as mp:
         def drain_tx(self, queue, _drain=Nic.drain_tx):
             out = _drain(self, queue)
             drained.append(stamps(out))
             return out
         mp.setattr(Nic, "drain_tx", drain_tx)
-        got = run_load_point(lp, nf, ring, outputs, seed=3, frames=frames,
-                             device_budget=budget)
-    want, emitted = naive_load_point(
-        lp, nf, ring, outputs,
-        frames if frames is not None else gen_traffic(n, size, 3), budget)
+        got = run_load_point(load, trace, nf, ring, outputs, device_budget=budget)
+    want, emitted = naive_load_point(load, nf, ring, outputs, trace, budget)
     assert got == want
     assert drained == [stamps(emitted)]
 
@@ -297,11 +294,10 @@ class TestFindMax:
     def test_result_passes_and_next_grid_load_fails(self, ring, outputs, budget,
                                                     passes_higher):
         lp = find_max_throughput("identity", ring, outputs, device_budget=budget)
-        frames = gen_traffic(lp.trace_length, lp.packet_size, 0)
+        frames = gen_traffic(DEFAULT_TRACE_LENGTH, DEFAULT_PACKET_SIZE, 0)
 
         def loss(load):
-            return run_load_point(LoadPoint(load, lp.packet_size, lp.trace_length),
-                                  "identity", ring, outputs, frames=frames,
+            return run_load_point(load, frames, "identity", ring, outputs,
                                   device_budget=budget).loss_fraction
 
         assert loss(lp.offered_load) < LOSS_BOUND
@@ -311,6 +307,13 @@ class TestFindMax:
         if passes_higher is not None:
             # the guarantee is all there is: a higher grid load can pass again
             assert loss(passes_higher) < LOSS_BOUND
+
+
+    def test_returns_the_measured_row(self):
+        # a replayed trace: the row describes the frames that really ran
+        frames = [Frame(bytes([i]) * 128) for i in range(40)]
+        best = find_max_throughput("identity", 64, 1, frames=frames)
+        assert best == run_load_point(best.offered_load, frames, "identity", 64, 1)
 
 
 class TestRunSweep:
@@ -340,12 +343,12 @@ class TestRunSweep:
         # rows reused from the knee search equal a fresh measurement
         kw = dict(packet_size=size, trace_length=300, seed=4, device_budget=budget)
         results = run_sweep(nf, ring, outputs, step, **kw)
+        frames = gen_traffic(300, size, 4)
         assert results == [
-            run_load_point(LoadPoint(r.offered_load, size, 300), nf, ring, outputs,
-                           seed=4, device_budget=budget)
+            run_load_point(r.offered_load, frames, nf, ring, outputs,
+                           device_budget=budget)
             for r in results]
-        assert results[-1].offered_load == find_max_throughput(
-            nf, ring, outputs, **kw).offered_load
+        assert results[-1] == find_max_throughput(nf, ring, outputs, **kw)
 
 
 class TestWriteCsv:
@@ -409,12 +412,38 @@ class TestCli:
             assert code == 1
             assert "keeps loss under" in capsys.readouterr().err
 
+    def test_max_only_row_is_the_sweep_maximum(self, tmp_path):
+        code, path = self.run_ok(tmp_path, "--max-only")
+        assert code == 0
+        sink = io.StringIO()
+        write_csv([run_sweep("identity", 64, 1, 200, trace_length=200)[-1]], sink)
+        assert path.read_text() == sink.getvalue()
+
     def test_pcap_replay(self, tmp_path):
         cap = tmp_path / "trace.pcap"
         cap.write_bytes(pcap_bytes(b"a" * 64, b"b" * 64, b"c" * 64))
         code, path = self.run_ok(tmp_path, "--pcap", str(cap), "--max-only")
         assert code == 0
         assert path.exists()
+
+    def test_pcap_ignores_generator_flags(self, tmp_path):
+        # a replay never uses the generated-traffic size, so 0 is not an error
+        cap = tmp_path / "trace.pcap"
+        cap.write_bytes(pcap_bytes(*(bytes([i]) * 96 for i in range(40))))
+        code, path = self.run_ok(tmp_path, "--pcap", str(cap))
+        assert code == 0
+        want = path.read_text()
+        code, path = self.run_ok(tmp_path, "--pcap", str(cap), "--packet-size", "0")
+        assert code == 0
+        assert path.read_text() == want
+
+    def test_empty_pcap_is_invalid_argument(self, tmp_path, capsys):
+        cap = tmp_path / "empty.pcap"
+        cap.write_bytes(pcap_bytes())
+        for mode in ((), ("--max-only",)):
+            code, _ = self.run_ok(tmp_path, "--pcap", str(cap), *mode)
+            assert code == 1
+            assert "empty" in capsys.readouterr().err
 
     def test_malformed_pcap_is_invalid_argument(self, tmp_path):
         cap = tmp_path / "bad.pcap"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from tinyring import (DESC_BYTES, MAX_FRAME, META_DD, META_LEN_MASK, META_RS,
                       Frame, InvalidRegisterError, MemEnv, Nic, NotReadyError,
-                      RegisterWriteFault, ownership)
+                      RegisterWriteFault, TranslationFault, ownership)
 
 U64 = struct.Struct("<Q")
 U32 = struct.Struct("<I")
@@ -321,6 +321,66 @@ class TestStepping:
             head = nic.reg_read("RDH")
             assert (head - prev) % 16 <= work
             prev = head
+
+
+class TestArenaBounds:
+    """A buffer that runs past the DMA arena faults before the device
+    writes or emits anything for its descriptor."""
+
+    def test_rx_buffer_past_arena(self):
+        env = MemEnv()
+        nic = Nic(env)
+        ring, bufs = rx_ring(env, nic)
+        U64.pack_into(env.dma, ring.phys_base, env.arena_size + 100)
+        first, second = Frame(b"a" * 64), Frame(b"b" * 64)
+        nic.inject_rx(first)
+        nic.inject_rx(second)
+        with pytest.raises(TranslationFault):
+            nic.step_device(4)
+        link = nic.link
+        assert list(link.rx_pending) == [first, second]
+        assert (link.injected, link.rx_delivered, link.rx_dropped) == (2, 0, 0)
+        assert nic.reg_read("RDH") == 0
+        assert U64.unpack_from(env.dma, ring.phys_base + 8)[0] & META_DD == 0
+        # the frame was not lost: a repaired descriptor delivers it
+        U64.pack_into(env.dma, ring.phys_base, bufs.phys_base)
+        assert nic.step_device(4) == 2
+        assert bytes(env.dma[bufs.phys_base:bufs.phys_base + 64]) == b"a" * 64
+        assert link.injected == link.rx_delivered == 2
+
+    def test_rx_buffer_straddling_arena_end(self):
+        env = MemEnv()
+        nic = Nic(env)
+        ring, _ = rx_ring(env, nic)
+        U64.pack_into(env.dma, ring.phys_base, env.arena_size - 10)
+        frame = Frame(b"x" * 64)
+        nic.inject_rx(frame)
+        with pytest.raises(TranslationFault):
+            nic.step_device(1)
+        assert list(nic.link.rx_pending) == [frame]
+        assert nic.link.rx_delivered == 0
+        assert nic.reg_read("RDH") == 0
+        assert bytes(env.dma[env.arena_size - 10:]) == bytes(10)
+        assert U64.unpack_from(env.dma, ring.phys_base + 8)[0] & META_DD == 0
+
+    @pytest.mark.parametrize("offset", [-10, 100], ids=["straddling", "past"])
+    def test_tx_buffer_outside_arena(self, offset):
+        # a length-64 buffer at arena_size - 10 would emit 10 bytes, and one
+        # wholly past the arena an empty frame, if the slice clamped silently
+        env = MemEnv()
+        nic = Nic(env)
+        ring, bufs, _ = tx_ring(env, nic)
+        U64.pack_into(env.dma, ring.phys_base, env.arena_size + offset)
+        U64.pack_into(env.dma, ring.phys_base + 8, 64)
+        nic.reg_write("TDT", 1, 0)
+        with pytest.raises(TranslationFault):
+            nic.step_device(4)
+        assert nic.drain_tx(0) == []
+        assert nic.reg_read("TDH", 0) == 0
+        assert U64.unpack_from(env.dma, ring.phys_base + 8)[0] & META_DD == 0
+        U64.pack_into(env.dma, ring.phys_base, bufs.phys_base)
+        nic.step_device(4)
+        assert [len(f.payload) for f in nic.drain_tx(0)] == [64]
 
 
 def two_queues_on_one_buffer(lengths=(64, 64), rx=False):
