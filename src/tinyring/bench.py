@@ -18,6 +18,8 @@ descriptors are lost the same way. The first 10% of the trace warms the
 pipeline up and is excluded from all statistics. Latency is drain step
 minus inject step; percentiles are nearest-rank (the 50th of [1, 2, 3, 4]
 is 2). One deterministic trial per load point; all points share one trace.
+The knee search stops a probe as soon as the frames output 0 could still
+emit before the deadline cannot bring its loss under the bound.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ MAX_LOAD_PER_BUDGET = 1000  # search ceiling: one packet per step per budget uni
 DEFAULT_TRACE_LENGTH = 2000
 DEFAULT_PACKET_SIZE = 64
 WARMUP_FRACTION = 10        # the first tenth of the trace is not measured
+_CHECK_INTERVAL = 256       # steps between a search probe's early-stop checks
 
 CSV_HEADER = "offered_load,delivered,lost,loss_fraction,latency_p50,latency_p99"
 
@@ -135,6 +138,25 @@ def run_load_point(offered_load: int, frames: Sequence[Frame], nf: Processor | s
                    ring_size: int, num_outputs: int, *,
                    device_budget: int = DEVICE_BUDGET) -> LoadPointResult:
     """Measure one load point: inject frames at offered_load on a fresh pipeline."""
+    result = _probe(offered_load, frames, nf, ring_size, num_outputs, device_budget)
+    assert result is not None  # without a loss bound a probe always runs in full
+    return result
+
+
+def _probe(offered_load: int, frames: Sequence[Frame], nf: Processor | str,
+           ring_size: int, num_outputs: int, device_budget: int,
+           loss_bound: float | None = None) -> LoadPointResult | None:
+    """run_load_point's result, or None once its loss is bound to reach loss_bound.
+
+    With a loss bound the run goes in _CHECK_INTERVAL-step forward_trace
+    segments, each resuming with the frames not yet injected. Before each
+    segment it bounds the frames output 0 can still emit before the
+    deadline: each emission spends a transmit unit, and every packet but
+    the U received and not yet emitted on output 0 also spends a receive
+    unit, so at most ((deadline - now) * device_budget + U) // 2 more
+    frames arrive. When the loss even that leaves is at least loss_bound,
+    the full run would fail, and the probe stops.
+    """
     if offered_load < 1:
         raise ValueError(f"offered load must be positive, got {offered_load}")
     if not frames:
@@ -143,13 +165,31 @@ def run_load_point(offered_load: int, frames: Sequence[Frame], nf: Processor | s
     # fresh Frame objects: injection stamps them, runs must not alias
     trace = [Frame(f.payload) for f in frames]
     n = len(trace)
-    _env, nic, agent = build_pipeline(ring_size, num_outputs)
-    forward_trace(agent, trace, processor, device_budget,
-                  due=[k * 1000 // offered_load for k in range(n)],
-                  deadline=(n - 1) * 1000 // offered_load + 1 + DRAIN_ALLOWANCE)
-
+    due = [k * 1000 // offered_load for k in range(n)]
+    deadline = due[-1] + 1 + DRAIN_ALLOWANCE
     warm = n // WARMUP_FRACTION
     measured = n - warm
+    _env, nic, agent = build_pipeline(ring_size, num_outputs)
+    if loss_bound is None:
+        forward_trace(agent, trace, processor, device_budget, due=due, deadline=deadline)
+    else:
+        link = nic.link
+        end = 0
+        seen = emitted = 0  # frames on output 0 so far, and the measured ones among them
+        # a segment that stops short of its end finished the trace; one that
+        # finishes exactly at its end costs the next one an idle step, which
+        # emits nothing
+        while nic.now == end < deadline:
+            out0 = link.tx_emitted[0]
+            emitted += sum(f.order >= warm for f in out0[seen:])
+            seen = len(out0)
+            reachable = ((deadline - end) * device_budget + link.rx_delivered - seen) // 2
+            if (measured - emitted - reachable) / measured >= loss_bound:
+                return None
+            k = link.injected
+            end = min(end + _CHECK_INTERVAL, deadline)
+            forward_trace(agent, trace[k:], processor, device_budget,
+                          due=due[k:], deadline=end)
     got = [f for f in nic.drain_tx(0) if f.order >= warm]
     delivered = len(got)
     lost = measured - delivered
@@ -166,19 +206,22 @@ def _search_max_throughput(frames: Sequence[Frame], nf: Processor | str,
                            ring_size: int, num_outputs: int, loss_bound: float,
                            device_budget: int,
                            ) -> tuple[LoadPointResult, dict[int, LoadPointResult]]:
-    """The knee's result, plus every result measured on the way, by load."""
+    """The knee's result, plus every probe on the way that ran in full, by load."""
+    if not 0 < loss_bound <= 1:
+        raise ValueError(f"loss bound must be in (0, 1], got {loss_bound}")
     measured: dict[int, LoadPointResult] = {}
     ceiling = MAX_LOAD_PER_BUDGET * device_budget
     lo, hi = 0, ceiling // SEARCH_GRANULARITY
     while lo < hi:
         mid = (lo + hi + 1) // 2
         load = mid * SEARCH_GRANULARITY
-        res = measured[load] = run_load_point(load, frames, nf, ring_size, num_outputs,
-                                              device_budget=device_budget)
-        if res.loss_fraction < loss_bound:
-            lo = mid
-        else:
-            hi = mid - 1
+        res = _probe(load, frames, nf, ring_size, num_outputs, device_budget, loss_bound)
+        if res is not None:
+            measured[load] = res
+            if res.loss_fraction < loss_bound:
+                lo = mid
+                continue
+        hi = mid - 1
     if lo == 0:
         raise NoSustainableLoad(f"no load on the {SEARCH_GRANULARITY}-wide grid up to "
                                 f"{ceiling} keeps loss under {loss_bound}")
@@ -197,12 +240,15 @@ def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
     The trace is frames, or else gen_traffic(trace_length, packet_size, seed).
     Binary search over the grid up to MAX_LOAD_PER_BUDGET * device_budget.
     It guarantees that the returned load was measured and passed, and that
-    the next grid load up was measured and failed, unless the returned load
-    is the top of the grid. Loss is not always non-decreasing in offered
-    load, so a higher grid load may pass as well: with ("identity", 8, 2)
-    and device_budget=2 the search returns 592, loads 608 and 624 fail, and
-    640 to 672 lose nothing. Raises NoSustainableLoad when even the lowest
-    grid load loses too much.
+    the next grid load up was shown to fail: a probe stops as soon as its
+    loss can no longer stay under the bound, and a failed probe's row is
+    never reported. The exception is a returned load at the top of the
+    grid. Loss is not always non-decreasing in offered load, so a higher
+    grid load may pass as well: with ("identity", 8, 2) and
+    device_budget=2 the search returns 592, loads 608 and 624 fail, and
+    640 to 672 lose nothing. Raises ValueError unless loss_bound is in
+    (0, 1], and NoSustainableLoad when even the lowest grid load loses too
+    much.
     """
     if frames is None:
         frames = gen_traffic(trace_length, packet_size, seed)

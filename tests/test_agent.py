@@ -468,6 +468,47 @@ def test_long_mixed_trace_differential():
 NF_FACTORIES = {"identity": identity, "macswap": macswap, "policer": lambda: policer(100)}
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_timed_trace_resumes_across_deadline_segments(data):
+    # forward_trace over consecutive deadline segments, each resuming with
+    # the frames not yet injected, ends exactly where one call ends
+    outputs = data.draw(st.integers(1, 4), label="outputs")
+    budget = data.draw(st.integers(1, 3), label="budget")
+    ring = data.draw(st.sampled_from([2, 8, 64]), label="ring")
+    nf = data.draw(st.sampled_from(sorted(NF_FACTORIES)), label="nf")
+    sizes = data.draw(st.lists(st.sampled_from([64, 576, 1500]), min_size=1, max_size=80),
+                      label="sizes")
+    load = data.draw(st.integers(50, 2 * service_rate(budget, outputs)), label="load")
+    segment = data.draw(st.integers(1, 300), label="segment")
+    n = len(sizes)
+    due = [k * 1000 // load for k in range(n)]
+    deadline = due[-1] + data.draw(st.integers(1, 100), label="drain")
+    rng = random.Random(n)
+    payloads = [rng.randbytes(size) for size in sizes]
+
+    def run(segment):
+        _, nic, agent = make(ring, outputs)
+        frames = [Frame(p) for p in payloads]
+        processor = NF_FACTORIES[nf]()
+        link = nic.link
+        if segment is None:
+            forward_trace(agent, frames, processor, budget, due=due, deadline=deadline)
+        else:
+            # forward_trace's own stop test, checked where each segment ends
+            while nic.now < deadline and not (
+                    link.injected == n and not link.rx_pending
+                    and agent.processed == link.rx_delivered and agent.quiescent()):
+                k = link.injected
+                forward_trace(agent, frames[k:], processor, budget, due=due[k:],
+                              deadline=min(nic.now + segment, deadline))
+        return (nic.now, agent.processed, link.injected, link.rx_delivered,
+                link.rx_dropped, [[(f.order, f.inject_time, f.drain_time, f.payload)
+                                   for f in nic.drain_tx(q)] for q in range(outputs)])
+
+    assert run(segment) == run(None)
+
+
 class RingMachine(RuleBasedStateMachine):
     """Random interleavings of injection, device steps, polls, recycles and
     finish() on one pipeline, checked against the ring invariants and the

@@ -1,10 +1,11 @@
 """Benchmark harness: traffic, pcap ingestion, load points, sweeps, CSV, CLI."""
 
 import io
+import math
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tinyring import (CSV_HEADER, DRAIN_ALLOWANCE, SEARCH_GRANULARITY, Agent,
@@ -12,6 +13,7 @@ from tinyring import (CSV_HEADER, DRAIN_ALLOWANCE, SEARCH_GRANULARITY, Agent,
                       NoSustainableLoad, PcapFormatError, find_max_throughput,
                       gen_traffic, make_processor, parse_pcap, percentile,
                       run_load_point, run_sweep, service_rate, write_csv)
+from tinyring import bench
 from tinyring.bench import (DEFAULT_PACKET_SIZE, DEFAULT_TRACE_LENGTH, LOSS_BOUND,
                             MAX_LOAD_PER_BUDGET)
 from tinyring.cli import main
@@ -264,7 +266,102 @@ def test_load_point_matches_naive_lockstep_loop(data):
     assert drained == [stamps(emitted)]
 
 
+frame_lists = st.one_of(
+    st.builds(gen_traffic, st.integers(1, 200), st.integers(12, 600), st.integers(0, 9)),
+    st.lists(st.binary(min_size=1, max_size=600), min_size=1, max_size=200)
+    .map(lambda ps: [Frame(p) for p in ps]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(load=st.integers(1, 3000), ring=st.sampled_from([2, 4, 8, 16, 64, 256]),
+       outputs=st.integers(1, 4), budget=st.integers(1, 3),
+       nf=st.sampled_from(["identity", "macswap", "policer"]), frames=frame_lists,
+       interval=st.one_of(st.just(1), st.integers(1, 300)))
+# overloads whose tightest bound trips an early stop that leaves out the
+# received packets' term, or that charges 1 + num_outputs units per frame
+@example(load=1479, ring=256, outputs=2, budget=1, nf="identity",
+         frames=gen_traffic(65, 578, 7), interval=1)
+@example(load=1145, ring=4, outputs=4, budget=1, nf="identity",
+         frames=gen_traffic(36, 467, 2), interval=1)
+def test_early_stop_is_sound(load, ring, outputs, budget, nf, frames, interval):
+    # A search probe returns run_load_point's row, or stops early only at a
+    # load whose full row fails the bound. A short check interval puts the
+    # mid-run checks inside short traces, and a bound just above the full
+    # row's loss is the tightest case a sound stop must not trip over.
+    deadline = (len(frames) - 1) * 1000 // load + 1 + DRAIN_ALLOWANCE
+    interval = max(interval, deadline // 200)  # at most about 200 segments
+    full = run_load_point(load, frames, nf, ring, outputs, device_budget=budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "_CHECK_INTERVAL", interval)
+        for bound in LOSS_BOUND, math.nextafter(full.loss_fraction, 2):
+            got = bench._probe(load, frames, nf, ring, outputs, budget, bound)
+            if got is None:
+                assert full.loss_fraction >= bound
+            else:
+                assert got == full
+
+
+def reference_search(frames, nf, ring, outputs, budget):
+    """The plain binary search over the grid, every probe a full load point."""
+    rows = {}
+    lo, hi = 0, MAX_LOAD_PER_BUDGET * budget // SEARCH_GRANULARITY
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        rows[mid] = run_load_point(mid * SEARCH_GRANULARITY, frames, nf, ring, outputs,
+                                   device_budget=budget)
+        lo, hi = (mid, hi) if rows[mid].loss_fraction < LOSS_BOUND else (lo, mid - 1)
+    if lo == 0:
+        raise NoSustainableLoad("no grid load passes")
+    return rows[lo]
+
+
+def reference_sweep(frames, nf, ring, outputs, step, budget):
+    best = reference_search(frames, nf, ring, outputs, budget).offered_load
+    loads = sorted({*range(step, best + 1, step), best})
+    return [run_load_point(load, frames, nf, ring, outputs, device_budget=budget)
+            for load in loads]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_search_matches_reference_search(data):
+    ring = data.draw(st.sampled_from([2, 4, 8, 16]), label="ring")
+    outputs = data.draw(st.integers(1, 4), label="outputs")
+    budget = data.draw(st.integers(1, 3), label="budget")
+    nf = data.draw(st.sampled_from(["identity", "macswap", "policer"]), label="nf")
+    step = data.draw(st.integers(40, 400), label="step")
+    frames = data.draw(frame_lists, label="frames")
+    kw = dict(frames=frames, device_budget=budget)
+    try:
+        want = reference_search(frames, nf, ring, outputs, budget)
+    except NoSustainableLoad:
+        with pytest.raises(NoSustainableLoad):
+            find_max_throughput(nf, ring, outputs, **kw)
+        with pytest.raises(NoSustainableLoad):
+            run_sweep(nf, ring, outputs, step, **kw)
+        return
+    assert find_max_throughput(nf, ring, outputs, **kw) == want
+    assert run_sweep(nf, ring, outputs, step, **kw) == reference_sweep(
+        frames, nf, ring, outputs, step, budget)
+
+
+def test_search_matches_reference_on_docstring_case():
+    frames = gen_traffic(DEFAULT_TRACE_LENGTH, DEFAULT_PACKET_SIZE, 0)
+    best = find_max_throughput("identity", 8, 2, device_budget=2)
+    assert best.offered_load == 592
+    assert best == reference_search(frames, "identity", 8, 2, 2)
+
+
 class TestFindMax:
+    @pytest.mark.parametrize("bound", [0, -0.5, 1.5, math.nan])
+    def test_meaningless_loss_bound_rejected(self, bound):
+        frames = gen_traffic(40, 64, 0)
+        with pytest.raises(ValueError, match="loss bound") as info:
+            find_max_throughput("identity", 8, 1, bound, frames=frames)
+        assert not isinstance(info.value, NoSustainableLoad)
+        with pytest.raises(ValueError, match="loss bound"):
+            bench._search_max_throughput(frames, "identity", 8, 1, bound, 1)
+
     def test_no_sustainable_load_raises(self):
         # the policer zeroes every 64-byte frame, so every load loses it all
         with pytest.raises(NoSustainableLoad):
