@@ -276,8 +276,12 @@ class Agent:
         """Publish everything still pending and step the device until it drains.
 
         Raises PipelineStalled if a step retires nothing first: without
-        software action no later step could retire anything either.
+        software action no later step could retire anything either. Raises
+        ValueError, before publishing anything, for a device_budget that is
+        not an integer of at least 1.
         """
+        if not isinstance(device_budget, int) or device_budget < 1:
+            raise ValueError(f"device budget must be an integer >= 1, got {device_budget!r}")
         self._flush()
         nic = self.nic
         while not self.quiescent():
@@ -336,7 +340,15 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     the first empty poll already published and recycled. The loop then
     moves the clock straight to the next due frame, or raises
     PipelineStalled when no frame can enter.
+
+    Raises ValueError, before anything is injected, for a device_budget
+    that is not an integer of at least 1 or a due whose length is not
+    len(frames).
     """
+    if not isinstance(device_budget, int) or device_budget < 1:
+        raise ValueError(f"device budget must be an integer >= 1, got {device_budget!r}")
+    if due is not None and len(due) != len(frames):
+        raise ValueError(f"due has {len(due)} entries for {len(frames)} frames")
     if max_packets is not None and max_packets < 1:
         if max_packets:
             raise ValueError(f"max_packets must not be negative, got {max_packets}")

@@ -137,7 +137,11 @@ def parse_pcap(data: bytes) -> list[Frame]:
 def run_load_point(offered_load: int, frames: Sequence[Frame], nf: Processor | str,
                    ring_size: int, num_outputs: int, *,
                    device_budget: int = DEVICE_BUDGET) -> LoadPointResult:
-    """Measure one load point: inject frames at offered_load on a fresh pipeline."""
+    """Measure one load point: inject frames at offered_load on a fresh pipeline.
+
+    Raises ValueError for an offered_load that is not a positive integer,
+    an empty trace or a device_budget that is not an integer of at least 1.
+    """
     result = _probe(offered_load, frames, nf, ring_size, num_outputs, device_budget)
     assert result is not None  # without a loss bound a probe always runs in full
     return result
@@ -157,8 +161,8 @@ def _probe(offered_load: int, frames: Sequence[Frame], nf: Processor | str,
     frames arrive. When the loss even that leaves is at least loss_bound,
     the full run would fail, and the probe stops.
     """
-    if offered_load < 1:
-        raise ValueError(f"offered load must be positive, got {offered_load}")
+    if not isinstance(offered_load, int) or offered_load < 1:
+        raise ValueError(f"offered load must be a positive integer, got {offered_load!r}")
     if not frames:
         raise ValueError("the trace is empty")
     processor = make_processor(nf) if isinstance(nf, str) else nf
@@ -209,6 +213,8 @@ def _search_max_throughput(frames: Sequence[Frame], nf: Processor | str,
     """The knee's result, plus every probe on the way that ran in full, by load."""
     if not 0 < loss_bound <= 1:
         raise ValueError(f"loss bound must be in (0, 1], got {loss_bound}")
+    if not isinstance(device_budget, int) or device_budget < 1:
+        raise ValueError(f"device budget must be an integer >= 1, got {device_budget!r}")
     measured: dict[int, LoadPointResult] = {}
     ceiling = MAX_LOAD_PER_BUDGET * device_budget
     lo, hi = 0, ceiling // SEARCH_GRANULARITY
@@ -247,8 +253,8 @@ def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
     grid load may pass as well: with ("identity", 8, 2) and
     device_budget=2 the search returns 592, loads 608 and 624 fail, and
     640 to 672 lose nothing. Raises ValueError unless loss_bound is in
-    (0, 1], and NoSustainableLoad when even the lowest grid load loses too
-    much.
+    (0, 1] and device_budget an integer of at least 1, and
+    NoSustainableLoad when even the lowest grid load loses too much.
     """
     if frames is None:
         frames = gen_traffic(trace_length, packet_size, seed)

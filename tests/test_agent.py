@@ -319,6 +319,45 @@ class TestRun:
         assert nic.now == 0
         assert len(nic.link.rx_pending) == 20
 
+    @pytest.mark.parametrize("budget", [0, -1, 1.5])
+    def test_invalid_budget_rejected(self, budget):
+        _, nic, agent = make(ring_size=16)
+        frames = gen_traffic(20, 64, 5)
+        with pytest.raises(ValueError, match="device budget"):
+            forward_trace(agent, frames, identity(), budget)
+        with pytest.raises(ValueError, match="device budget"):
+            forward_trace(agent, frames, identity(), budget,
+                          due=list(range(20)), deadline=100)
+        assert (nic.now, nic.link.injected) == (0, 0)
+        for f in frames:
+            nic.inject_rx(f)
+        with pytest.raises(ValueError, match="device budget"):
+            agent.run(identity(), max_packets=20, device_budget=budget)
+        assert nic.now == 0
+        assert len(nic.link.rx_pending) == 20
+
+    def test_finish_rejects_invalid_budget(self):
+        _, nic, agent = make(ring_size=16)
+        feed_one(nic, agent, b"f" * 64)
+        agent.transmit([64])
+        now, tail = nic.now, nic.reg_read("TDT", 0)
+        for budget in (0, -1, 1.5):
+            with pytest.raises(ValueError, match="device budget"):
+                agent.finish(budget)
+        assert (nic.now, nic.reg_read("TDT", 0)) == (now, tail)
+        agent.finish()
+        assert [f.payload for f in nic.drain_tx(0)] == [b"f" * 64]
+
+    @pytest.mark.parametrize("length", [4, 6])
+    def test_due_length_must_match_frames(self, length):
+        # checked before injecting: a short due would fail mid-trace and a
+        # long one would be cut silently
+        _, nic, agent = make(ring_size=16)
+        with pytest.raises(ValueError, match="due"):
+            forward_trace(agent, gen_traffic(5, 64, 5), identity(),
+                          due=list(range(length)))
+        assert (nic.now, nic.link.injected) == (0, 0)
+
     def test_buffer_set_is_fixed(self):
         _, nic, agent = make(ring_size=64)
         before = [id(b) for b in agent.buffers]

@@ -2,6 +2,7 @@
 
 import io
 import math
+import pathlib
 import struct
 
 import pytest
@@ -19,6 +20,7 @@ from tinyring.bench import (DEFAULT_PACKET_SIZE, DEFAULT_TRACE_LENGTH, LOSS_BOUN
 from tinyring.cli import main
 
 RECORD_HEADER = struct.Struct("<IIII")
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def pcap_bytes(*payloads, magic=0xA1B2C3D4, order="<"):
@@ -152,6 +154,16 @@ class TestRunLoadPoint:
             run_load_point(0, TRACE_400, "identity", 256, 1)
         with pytest.raises(ValueError):
             run_load_point(100, [], "identity", 256, 1)
+
+    @pytest.mark.parametrize("load", [250.5, 250.0, "250", None])
+    def test_non_integer_load_rejected(self, load):
+        with pytest.raises(ValueError, match="offered load"):
+            run_load_point(load, TRACE_400, "identity", 256, 1)
+
+    @pytest.mark.parametrize("budget", [0, -1, 1.5])
+    def test_invalid_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="device budget"):
+            run_load_point(100, TRACE_400, "identity", 256, 1, device_budget=budget)
 
     def test_empty_trace_rejected_by_search_and_sweep(self):
         # an empty trace measures nothing, so it cannot pass or fail a load
@@ -362,6 +374,19 @@ class TestFindMax:
         with pytest.raises(ValueError, match="loss bound"):
             bench._search_max_throughput(frames, "identity", 8, 1, bound, 1)
 
+    @pytest.mark.parametrize("budget", [0, -1, 1.5])
+    def test_invalid_budget_rejected(self, budget):
+        # a budget that is not a positive integer is a bad argument, not a
+        # finding that no load is sustainable
+        frames = gen_traffic(40, 64, 0)
+        for search in (lambda: find_max_throughput("identity", 8, 1, frames=frames,
+                                                   device_budget=budget),
+                       lambda: run_sweep("identity", 8, 1, 100, frames=frames,
+                                         device_budget=budget)):
+            with pytest.raises(ValueError, match="device budget") as info:
+                search()
+            assert not isinstance(info.value, NoSustainableLoad)
+
     def test_no_sustainable_load_raises(self):
         # the policer zeroes every 64-byte frame, so every load loses it all
         with pytest.raises(NoSustainableLoad):
@@ -490,6 +515,12 @@ class TestCli:
         assert lines[0] == CSV_HEADER
         assert len(lines) >= 2
         assert "load points written" in capsys.readouterr().out
+
+    def test_default_sweep_is_the_golden_file(self, tmp_path):
+        # the golden file is regenerated by running the CLI at its defaults
+        path = tmp_path / "golden.csv"
+        assert main(["--csv", str(path)]) == 0
+        assert path.read_bytes() == (DATA / "golden_sweep.csv").read_bytes()
 
     def test_max_only(self, tmp_path, capsys):
         code, path = self.run_ok(tmp_path, "--max-only")
