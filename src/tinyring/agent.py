@@ -19,9 +19,9 @@ slot always stays unowned: a full interval is never confused with an empty
 one, and a mod-S register value can be unwrapped against `processed`
 unambiguously.
 
-Tail writes are batched: transmit tails are published once per
-`flush_period` packets (all queues in one pass, which keeps them equal),
-and the receive tail is republished once per `recycle_period` packets.
+Tail writes are batched: transmit tails are published when `processed`
+is a multiple of `flush_period` (all queues in one pass, which keeps them
+equal), and the receive tail is republished at multiples of `recycle_period`.
 When a receive poll comes up empty the agent publishes and recycles
 immediately instead; without that, a ragged batch at the end of a burst
 would sit unpublished forever and rings no larger than the recycle period
@@ -33,14 +33,15 @@ write-back, whether it closed on the flush grid or was published early by
 an empty poll or finish(). transmit itself never sets RS. A slot goes back
 to the device only once every output is done with it, and transmit has
 already cleared its receive done bit by then, so recycling only moves the
-receive tail.
+receive tail. Transmit progress is read from the head write-back words
+alone, by one helper that recycling and quiescence share.
 
 receive() and transmit() are the ring protocol split in two for callers
 that process a packet by hand. poll() is the same protocol in one call:
 it reads the receive descriptor itself and files the packet through the
 private helper transmit() also uses, so lengths are checked in one place;
 if the processor raises, the packet stays outstanding, as after
-receive(). The next flush and recycle points are kept as running counts.
+receive().
 
 There is one driver loop, forward_trace: inject, step the device, poll,
 in lockstep. Only injection varies. It is flow-controlled by default (the
@@ -79,6 +80,12 @@ class ProtocolViolation(Exception):
 
 class PipelineStalled(RuntimeError):
     """Work is in flight but no step can ever make progress on it."""
+
+
+def _check_int(value: object, what: str, minimum: int) -> None:
+    """Raise ValueError unless value is an int, not a bool, of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
 
 
 class Agent:
@@ -135,8 +142,6 @@ class Agent:
         self.processed = 0                      # unwrapped packets fully handled
         self._published = 0                     # unwrapped value last written to the TX tails
         self._rdt_unwrapped = ring_size - 1     # unwrapped value of the RX tail
-        self._next_flush = flush_period         # processed count of the next flush
-        self._next_recycle = recycle_period     # processed count of the next recycle
         self._inflight = False
 
     # -- ring protocol ------------------------------------------------------
@@ -188,11 +193,9 @@ class Agent:
         p += 1
         self.processed = p
         # recycle points are flush points: the recycle period is a multiple
-        if p == self._next_flush:
-            self._next_flush = p + self.flush_period
+        if not p % self.flush_period:
             self._flush()
-            if p == self._next_recycle:
-                self._next_recycle = p + self.recycle_period
+            if not p % self.recycle_period:
                 self.recycle()
 
     def _flush(self) -> None:
@@ -224,9 +227,17 @@ class Agent:
         when the tail already sits at the bound processed - 1 + ring_size,
         which no head can raise until another packet is processed.
         """
-        p = self.processed
-        if self._rdt_unwrapped == p - 1 + self.ring_size:
+        if self._rdt_unwrapped == self.processed - 1 + self.ring_size:
             return
+        new_tail = self._tx_head() - 1 + self.ring_size
+        if new_tail <= self._rdt_unwrapped:
+            return
+        self._rdt_unwrapped = new_tail
+        self.nic.reg_write("RDT", new_tail & self._mask)
+
+    def _tx_head(self) -> int:
+        """The earliest transmit head across queues, unwrapped, from the head write-back."""
+        p = self.processed
         mask = self._mask
         earliest = p
         for q in range(self.num_outputs):
@@ -235,11 +246,7 @@ class Agent:
             uh = p - ((p - h) & mask)
             if uh < earliest:
                 earliest = uh
-        new_tail = earliest - 1 + self.ring_size
-        if new_tail <= self._rdt_unwrapped:
-            return
-        self._rdt_unwrapped = new_tail
-        self.nic.reg_write("RDT", new_tail & mask)
+        return earliest
 
     # -- driving loops ------------------------------------------------------
 
@@ -266,11 +273,9 @@ class Agent:
         return True
 
     def quiescent(self) -> bool:
-        """True when nothing submitted or outstanding remains in flight."""
-        if self._inflight or self._published != self.processed:
-            return False
-        # the device's ring records, read directly: what reg_read returns
-        return all(ring.head == ring.tail for ring in self.nic._tx)
+        """True when nothing is outstanding and every queue's head write-back
+        has reached processed, which implies every packet was published."""
+        return not self._inflight and self._tx_head() == self.processed
 
     def finish(self, device_budget: int = 1) -> None:
         """Publish everything still pending and step the device until it drains.
@@ -280,8 +285,7 @@ class Agent:
         ValueError, before publishing anything, for a device_budget that is
         not an integer of at least 1.
         """
-        if not isinstance(device_budget, int) or device_budget < 1:
-            raise ValueError(f"device budget must be an integer >= 1, got {device_budget!r}")
+        _check_int(device_budget, "device budget", 1)
         self._flush()
         nic = self.nic
         while not self.quiescent():
@@ -332,8 +336,7 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     Runs until every frame is off the wire, every delivered packet has been
     processed and the agent is quiescent; stops early when the clock
     reaches deadline or after max_packets packets. max_packets 0 returns 0
-    without stepping; a negative one raises ValueError. Returns the number
-    of packets processed.
+    without stepping. Returns the number of packets processed.
 
     Two steps in a row in which the device retires nothing and the poll
     finds nothing leave every later step unchanged until a frame enters:
@@ -342,22 +345,20 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     PipelineStalled when no frame can enter.
 
     Raises ValueError, before anything is injected, for a device_budget
-    that is not an integer of at least 1 or a due whose length is not
-    len(frames).
+    that is not an integer of at least 1, a max_packets that is not None or
+    an integer of at least 0, or a due whose length is not len(frames).
     """
-    if not isinstance(device_budget, int) or device_budget < 1:
-        raise ValueError(f"device budget must be an integer >= 1, got {device_budget!r}")
+    _check_int(device_budget, "device budget", 1)
     if due is not None and len(due) != len(frames):
         raise ValueError(f"due has {len(due)} entries for {len(frames)} frames")
-    if max_packets is not None and max_packets < 1:
-        if max_packets:
-            raise ValueError(f"max_packets must not be negative, got {max_packets}")
-        return 0
+    if max_packets is not None:
+        _check_int(max_packets, "max_packets", 0)
+        if not max_packets:
+            return 0
     nic = agent.nic
     step, poll = nic.step_device, agent.poll
     link = nic.link
     wire = link.rx_pending
-    rx = nic._rx  # read directly: RDH != RDT means the device owns a free slot
     n = len(frames)
     k = 0
     count = 0
@@ -365,7 +366,8 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     while deadline is None or nic.now < deadline:
         if k < n:
             if due is None:
-                if not wire and rx.head != rx.tail:
+                # rx_delivered is the receive head unwrapped: this is RDH != RDT
+                if not wire and link.rx_delivered != agent._rdt_unwrapped:
                     nic.inject_rx(frames[k])
                     k += 1
             else:

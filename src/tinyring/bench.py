@@ -30,7 +30,7 @@ import struct
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .agent import Processor, build_pipeline, forward_trace
+from .agent import Processor, _check_int, build_pipeline, forward_trace
 from .netfuncs import make_processor
 from .nic import MAX_FRAME, Frame
 
@@ -73,8 +73,7 @@ def percentile(values: Sequence[int], pct: float) -> int:
 
 def gen_traffic(count: int, size: int, seed: int) -> list[Frame]:
     """Deterministic frames whose first 8 bytes are a little-endian sequence number."""
-    if count < 0:
-        raise ValueError(f"frame count must be non-negative, got {count}")
+    _check_int(count, "frame count", 0)
     if not 12 <= size <= MAX_FRAME:
         raise ValueError(f"packet size must be in [12, {MAX_FRAME}], got {size}")
     rng = random.Random(seed)
@@ -161,8 +160,7 @@ def _probe(offered_load: int, frames: Sequence[Frame], nf: Processor | str,
     frames arrive. When the loss even that leaves is at least loss_bound,
     the full run would fail, and the probe stops.
     """
-    if not isinstance(offered_load, int) or offered_load < 1:
-        raise ValueError(f"offered load must be a positive integer, got {offered_load!r}")
+    _check_int(offered_load, "offered load", 1)
     if not frames:
         raise ValueError("the trace is empty")
     processor = make_processor(nf) if isinstance(nf, str) else nf
@@ -213,8 +211,7 @@ def _search_max_throughput(frames: Sequence[Frame], nf: Processor | str,
     """The knee's result, plus every probe on the way that ran in full, by load."""
     if not 0 < loss_bound <= 1:
         raise ValueError(f"loss bound must be in (0, 1], got {loss_bound}")
-    if not isinstance(device_budget, int) or device_budget < 1:
-        raise ValueError(f"device budget must be an integer >= 1, got {device_budget!r}")
+    _check_int(device_budget, "device budget", 1)
     measured: dict[int, LoadPointResult] = {}
     ceiling = MAX_LOAD_PER_BUDGET * device_budget
     lo, hi = 0, ceiling // SEARCH_GRANULARITY
@@ -273,8 +270,7 @@ def run_sweep(nf: Processor | str, ring_size: int, num_outputs: int, step: int, 
     as a final point when it is not a multiple of the step. Points the
     search already measured are not run again.
     """
-    if step < 1:
-        raise ValueError(f"sweep step must be positive, got {step}")
+    _check_int(step, "sweep step", 1)
     if frames is None:
         frames = gen_traffic(trace_length, packet_size, seed)
     best, measured = _search_max_throughput(frames, nf, ring_size, num_outputs,

@@ -319,7 +319,15 @@ class TestRun:
         assert nic.now == 0
         assert len(nic.link.rx_pending) == 20
 
-    @pytest.mark.parametrize("budget", [0, -1, 1.5])
+    @pytest.mark.parametrize("cap", [2.5, True])
+    def test_non_integer_packet_cap_rejected(self, cap):
+        # 2.5 never equals the count, so it capped nothing; True capped at 1
+        _, nic, agent = make(ring_size=16)
+        with pytest.raises(ValueError, match="max_packets"):
+            forward_trace(agent, gen_traffic(50, 64, 5), identity(), max_packets=cap)
+        assert (nic.now, nic.link.injected) == (0, 0)
+
+    @pytest.mark.parametrize("budget", [0, -1, 1.5, True])
     def test_invalid_budget_rejected(self, budget):
         _, nic, agent = make(ring_size=16)
         frames = gen_traffic(20, 64, 5)
@@ -341,7 +349,7 @@ class TestRun:
         feed_one(nic, agent, b"f" * 64)
         agent.transmit([64])
         now, tail = nic.now, nic.reg_read("TDT", 0)
-        for budget in (0, -1, 1.5):
+        for budget in (0, -1, 1.5, True):
             with pytest.raises(ValueError, match="device budget"):
                 agent.finish(budget)
         assert (nic.now, nic.reg_read("TDT", 0)) == (now, tail)
@@ -611,6 +619,22 @@ class RingMachine(RuleBasedStateMachine):
         a = self.agent
         assert a._published <= a.processed <= a._rdt_unwrapped <= a.processed + a.ring_size - 1
         assert self.nic.link.rx_dropped == 0
+
+    @invariant()
+    def quiescent_iff_every_queue_drained_to_processed(self):
+        # quiescent() reads only the head write-back; the registers must agree
+        agent, nic = self.agent, self.nic
+        tail = agent.processed & (agent.ring_size - 1)
+        drained = all(nic.reg_read("TDH", q) == nic.reg_read("TDT", q) == tail
+                      for q in range(agent.num_outputs))
+        assert agent.quiescent() == drained
+
+    @invariant()
+    def receive_room_follows_from_counters(self):
+        # forward_trace's flow control reads the counters, not RDH and RDT
+        agent, nic = self.agent, self.nic
+        room = nic.reg_read("RDH") != nic.reg_read("RDT")
+        assert room == (nic.link.rx_delivered != agent._rdt_unwrapped)
 
     @invariant()
     def outputs_are_reference_prefixes(self):

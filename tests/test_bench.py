@@ -88,6 +88,11 @@ class TestGenTraffic:
         with pytest.raises(ValueError):
             gen_traffic(-1, 64, 0)
 
+    @pytest.mark.parametrize("count", [2.0, True])
+    def test_non_integer_count_rejected(self, count):
+        with pytest.raises(ValueError, match="frame count"):
+            gen_traffic(count, 64, 0)
+
 
 class TestParsePcap:
     def test_single_record(self):
@@ -155,12 +160,12 @@ class TestRunLoadPoint:
         with pytest.raises(ValueError):
             run_load_point(100, [], "identity", 256, 1)
 
-    @pytest.mark.parametrize("load", [250.5, 250.0, "250", None])
+    @pytest.mark.parametrize("load", [250.5, 250.0, "250", None, True])
     def test_non_integer_load_rejected(self, load):
         with pytest.raises(ValueError, match="offered load"):
             run_load_point(load, TRACE_400, "identity", 256, 1)
 
-    @pytest.mark.parametrize("budget", [0, -1, 1.5])
+    @pytest.mark.parametrize("budget", [0, -1, 1.5, True])
     def test_invalid_budget_rejected(self, budget):
         with pytest.raises(ValueError, match="device budget"):
             run_load_point(100, TRACE_400, "identity", 256, 1, device_budget=budget)
@@ -374,7 +379,7 @@ class TestFindMax:
         with pytest.raises(ValueError, match="loss bound"):
             bench._search_max_throughput(frames, "identity", 8, 1, bound, 1)
 
-    @pytest.mark.parametrize("budget", [0, -1, 1.5])
+    @pytest.mark.parametrize("budget", [0, -1, 1.5, True])
     def test_invalid_budget_rejected(self, budget):
         # a budget that is not a positive integer is a bad argument, not a
         # finding that no load is sustainable
@@ -450,6 +455,12 @@ class TestRunSweep:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             run_sweep("identity", 256, 1, 0, trace_length=400)
+
+    @pytest.mark.parametrize("step", [50.0, True])
+    def test_non_integer_step_rejected(self, step):
+        # 50.0 failed in range() after the search; True swept every load
+        with pytest.raises(ValueError, match="sweep step"):
+            run_sweep("identity", 256, 1, step, trace_length=400)
 
     def test_max_appended_when_off_grid(self):
         results = run_sweep("identity", 256, 1, 300, trace_length=400)

@@ -40,6 +40,12 @@ def test_length_field_too_wide():
         encode_descriptor(Descriptor(0, 65536))
 
 
+@pytest.mark.parametrize("addr", [1 << 64, -1])
+def test_address_field_out_of_range(addr):
+    with pytest.raises(ValueError):
+        encode_descriptor(Descriptor(addr, 64))
+
+
 def test_decode_wrong_size():
     with pytest.raises(ValueError):
         decode_descriptor(b"\x00" * 15)

@@ -39,6 +39,8 @@ def test_allocations_are_disjoint():
 def test_zero_size_rejected():
     with pytest.raises(ValueError):
         MemEnv().allocate_dma(0)
+    with pytest.raises(ValueError):
+        MemEnv(arena_size=0)
 
 
 def test_arena_exhaustion():

@@ -44,6 +44,8 @@ class TestOwnership:
             ownership(8, 0, 8)
         with pytest.raises(ValueError):
             ownership(0, 8, 8)
+        with pytest.raises(ValueError):
+            ownership(0, 0, 0)
 
     @given(length=st.sampled_from([2, 4, 8, 16, 32, 64, 256]), data=st.data())
     def test_matches_walk(self, length, data):
@@ -167,6 +169,30 @@ class TestRegisters:
         with pytest.raises(RegisterWriteFault):
             nic.reg_write("T" + reg, value, 1)
         assert nic.reg_read("RDLEN") == nic.reg_read("TDLEN", 1) == 8
+
+    @pytest.mark.parametrize("reg, value", [
+        ("RDBA", 1 << 32), ("TDT", -1),      # not a 32-bit value
+        ("TDWBA", 0x402), ("TDWBA", 4096),   # misaligned; word past the arena
+    ])
+    def test_register_value_rejected(self, reg, value):
+        nic = Nic(MemEnv(arena_size=4096))
+        with pytest.raises(ValueError):
+            nic.reg_write(reg, value)
+        assert nic.reg_read(reg) == 0
+
+    @pytest.mark.parametrize("writes", [
+        [("RDBA", 8)],                                # base not 16-byte aligned
+        [("RDBA", 4096 - 4 * DESC_BYTES)],            # ring runs past the arena
+        [("RDLEN", 16), ("RDT", 12), ("RDLEN", 8)],   # tail left at or above the length
+    ], ids=["misaligned", "past-arena", "tail-beyond-length"])
+    def test_enable_validates_ring_placement(self, writes):
+        nic = Nic(MemEnv(arena_size=4096))
+        nic.reg_write("RDLEN", 8)
+        for reg, value in writes:
+            nic.reg_write(reg, value)
+        with pytest.raises(ValueError):
+            nic.reg_write("RXEN", 1)
+        assert nic.reg_read("RXEN") == 0
 
     def test_enable_validates_ring_length(self):
         env = MemEnv()

@@ -37,6 +37,10 @@ class TestInit:
         with pytest.raises(ValueError):
             ref_init(0, 1, identity())
 
+    def test_zero_outputs_rejected(self):
+        with pytest.raises(ValueError):
+            RefPipeline(BufferPool(1), 0, identity())
+
     def test_output_queue_count(self):
         pipe = ref_init(16, 3, identity())
         assert pipe.process_trace([]) == [[], [], []]
