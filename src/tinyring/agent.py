@@ -34,7 +34,11 @@ an empty poll or finish(). transmit itself never sets RS. A slot goes back
 to the device only once every output is done with it, and transmit has
 already cleared its receive done bit by then, so recycling only moves the
 receive tail. Transmit progress is read from the head write-back words
-alone, by one helper that recycling and quiescence share.
+alone, by one helper that recycling and quiescence share. Like the device,
+the agent reads and writes descriptor metadata and write-back words through
+native-order word views of the arena (see tinyring.nic for why that is
+sound); each ring's first metadata word index is computed once, at
+construction.
 
 receive() and transmit() are the ring protocol split in two for callers
 that process a packet by hand. poll() is the same protocol in one call:
@@ -55,12 +59,11 @@ environment, device and agent that every caller of the loop needs.
 
 from __future__ import annotations
 
-import struct
 from typing import Callable, Sequence
 
 from .mem import DEFAULT_PAGE_SIZE, MemEnv
-from .nic import (DESC_BYTES, MAX_FRAME, MAX_RING, META_DD, META_EOP,
-                  META_LEN_MASK, META_RS, MIN_RING, Frame, Nic)
+from .nic import (DESC_BYTES, MAX_FRAME, MAX_QUEUES, MAX_RING, META_DD, META_EOP,
+                  META_LEN_MASK, META_RS, MIN_RING, Frame, Nic, _check_int)
 
 FLUSH_PERIOD = 8
 RECYCLE_PERIOD = 64
@@ -69,9 +72,6 @@ RECYCLE_PERIOD = 64
 # A processor that returns a length beyond the received one must have written
 # those bytes itself; all built-ins only shrink or keep the length.
 Processor = Callable[[memoryview, int, int], Sequence[int]]
-
-_U64 = struct.Struct("<Q")
-_U32 = struct.Struct("<I")
 
 
 class ProtocolViolation(Exception):
@@ -82,10 +82,12 @@ class PipelineStalled(RuntimeError):
     """Work is in flight but no step can ever make progress on it."""
 
 
-def _check_int(value: object, what: str, minimum: int) -> None:
-    """Raise ValueError unless value is an int, not a bool, of at least minimum."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+def _check_geometry(ring_size: int, num_outputs: int) -> None:
+    """Raise ValueError unless the ring size and output count fit the device."""
+    _check_int(ring_size, "ring size", MIN_RING, MAX_RING)
+    if ring_size & (ring_size - 1):
+        raise ValueError(f"ring size must be a power of two, got {ring_size}")
+    _check_int(num_outputs, "output count", 1, MAX_QUEUES)
 
 
 class Agent:
@@ -94,9 +96,7 @@ class Agent:
     def __init__(self, env: MemEnv, nic: Nic, ring_size: int, num_outputs: int = 1,
                  flush_period: int = FLUSH_PERIOD,
                  recycle_period: int = RECYCLE_PERIOD) -> None:
-        if ring_size < MIN_RING or ring_size > MAX_RING or ring_size & (ring_size - 1):
-            raise ValueError(f"ring size must be a power of two in "
-                             f"[{MIN_RING}, {MAX_RING}], got {ring_size}")
+        _check_geometry(ring_size, num_outputs)
         if num_outputs != nic.num_tx_queues:
             raise ValueError(f"device has {nic.num_tx_queues} transmit queues, "
                              f"agent needs {num_outputs}")
@@ -108,7 +108,7 @@ class Agent:
         self.flush_period = flush_period
         self.recycle_period = recycle_period
         self._mask = ring_size - 1
-        self._mem = env.dma
+        u64 = self._u64 = env.dma.cast("Q")  # descriptor words, index = address >> 3
 
         rx = env.allocate_dma(ring_size * DESC_BYTES)
         txs = [env.allocate_dma(ring_size * DESC_BYTES) for _ in range(num_outputs)]
@@ -122,12 +122,16 @@ class Agent:
         self.buffers = tuple(bufs.view[i * MAX_FRAME:(i + 1) * MAX_FRAME]
                              for i in range(ring_size))
 
-        mem = self._mem
+        # index of slot 0's metadata word on each ring; slot i's is 2 * i further
+        self._rx_meta = (self._rx_base >> 3) + 1
+        self._tx_metas = tuple((tb >> 3) + 1 for tb in self._tx_bases)
+        # the head write-back words, one per queue, as 32-bit words
+        first = self._shadow_base >> 2
+        self._heads = env.dma.cast("I")[first:first + num_outputs]
         for i in range(ring_size):
             baddr = bufs.phys_base + i * MAX_FRAME
-            _U64.pack_into(mem, self._rx_base + i * DESC_BYTES, baddr)
-            for tb in self._tx_bases:
-                _U64.pack_into(mem, tb + i * DESC_BYTES, baddr)
+            for meta in (self._rx_meta, *self._tx_metas):
+                u64[meta - 1 + 2 * i] = baddr
 
         nic.reg_write("RDBA", self._rx_base)
         nic.reg_write("RDLEN", ring_size)
@@ -156,7 +160,7 @@ class Agent:
         if self._inflight:
             raise ProtocolViolation("previous packet was never transmitted")
         slot = self.processed & self._mask
-        (meta,) = _U64.unpack_from(self._mem, self._rx_base + slot * DESC_BYTES + 8)
+        meta = self._u64[self._rx_meta + 2 * slot]
         if not meta & META_DD:
             return None
         self._inflight = True
@@ -181,14 +185,14 @@ class Agent:
                 raise ValueError(f"output {q}: length {n!r} is not an integer "
                                  f"in [0, {MAX_FRAME}]")
         p = self.processed
-        off = (p & self._mask) * DESC_BYTES + 8
-        mem = self._mem
-        for tb, n in zip(self._tx_bases, lengths):
-            _U64.pack_into(mem, tb + off, n | META_EOP)
+        off = 2 * (p & self._mask)
+        u64 = self._u64
+        for meta, n in zip(self._tx_metas, lengths):
+            u64[meta + off] = n | META_EOP
         # Retire the receive slot now. This is the only place its done bit is
         # cleared, so a later lap can never mistake this lap's completion for
         # a fresh delivery when the tail sits right on the slot.
-        _U64.pack_into(mem, self._rx_base + off, 0)
+        u64[self._rx_meta + off] = 0
         self._inflight = False
         p += 1
         self.processed = p
@@ -208,11 +212,10 @@ class Agent:
         p = self.processed
         if p == self._published:
             return
-        off = ((p - 1) & self._mask) * DESC_BYTES + 8
-        mem = self._mem
-        for tb in self._tx_bases:
-            (meta,) = _U64.unpack_from(mem, tb + off)
-            _U64.pack_into(mem, tb + off, meta | META_RS)
+        off = 2 * ((p - 1) & self._mask)
+        u64 = self._u64
+        for meta in self._tx_metas:
+            u64[meta + off] |= META_RS
         tail = p & self._mask
         for q in range(self.num_outputs):
             self.nic.reg_write("TDT", tail, q)
@@ -240,8 +243,7 @@ class Agent:
         p = self.processed
         mask = self._mask
         earliest = p
-        for q in range(self.num_outputs):
-            (h,) = _U32.unpack_from(self._mem, self._shadow_base + 4 * q)
+        for h in self._heads:
             # mod-size head to unwrapped: heads trail processed by < ring_size
             uh = p - ((p - h) & mask)
             if uh < earliest:
@@ -263,7 +265,7 @@ class Agent:
         if self._inflight:
             raise ProtocolViolation("previous packet was never transmitted")
         slot = self.processed & self._mask
-        (meta,) = _U64.unpack_from(self._mem, self._rx_base + slot * DESC_BYTES + 8)
+        meta = self._u64[self._rx_meta + 2 * slot]
         if not meta & META_DD:
             self._flush()
             self.recycle()
@@ -315,6 +317,7 @@ def build_pipeline(ring_size: int, num_outputs: int = 1,
     The arena holds the descriptor rings, one buffer per slot and the head
     write-back words, plus one page of rounding slack per allocated region.
     """
+    _check_geometry(ring_size, num_outputs)
     need = ((1 + num_outputs) * ring_size * DESC_BYTES
             + ring_size * MAX_FRAME + 4 * num_outputs)
     env = MemEnv(arena_size=need + (3 + num_outputs) * DEFAULT_PAGE_SIZE)

@@ -30,9 +30,9 @@ import struct
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .agent import Processor, _check_int, build_pipeline, forward_trace
+from .agent import Processor, build_pipeline, forward_trace
 from .netfuncs import make_processor
-from .nic import MAX_FRAME, Frame
+from .nic import MAX_FRAME, Frame, _check_int
 
 DEVICE_BUDGET = 1
 DRAIN_ALLOWANCE = 64        # steps granted past the end of the injection schedule
@@ -74,8 +74,7 @@ def percentile(values: Sequence[int], pct: float) -> int:
 def gen_traffic(count: int, size: int, seed: int) -> list[Frame]:
     """Deterministic frames whose first 8 bytes are a little-endian sequence number."""
     _check_int(count, "frame count", 0)
-    if not 12 <= size <= MAX_FRAME:
-        raise ValueError(f"packet size must be in [12, {MAX_FRAME}], got {size}")
+    _check_int(size, "packet size", 12, MAX_FRAME)
     rng = random.Random(seed)
     return [Frame(seq.to_bytes(8, "little") + rng.randbytes(size - 8))
             for seq in range(count)]

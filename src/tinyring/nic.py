@@ -28,15 +28,30 @@ end-of-packet at bit 24, report-status at bit 27 and done at bit 32.
 The device writes buffer bytes first and the whole metadata word second,
 in one 8-byte store; a reader that observes the done bit may trust the
 payload. Bits outside the defined fields are ignored on decode.
+
+The device and the agent read and write descriptor words and head
+write-back words through native-order word views of the arena, cast("Q")
+and cast("I") of the DMA memoryview, at index address >> 3 and address
+>> 2. Those indexes are exact because the register file checks that ring
+bases are 16-byte aligned and write-back addresses 4-byte aligned, and
+native order is the wire's little-endian order because this module refuses
+to import on a big-endian host. Buffer payloads stay byte slices, and
+encode_descriptor/decode_descriptor keep their explicit little-endian
+layout.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 from collections import deque
 from dataclasses import dataclass
 
 from .mem import MemEnv, TranslationFault
+
+if sys.byteorder != "little":
+    raise ImportError("tinyring needs a little-endian host: descriptor and write-back "
+                      "words are accessed through native-order memoryview casts")
 
 DESC_BYTES = 16
 META_LEN_MASK = 0xFFFF
@@ -50,9 +65,15 @@ MIN_RING = 2
 MAX_RING = 65536
 
 _DESC = struct.Struct("<QQ")
-_U64 = struct.Struct("<Q")
-_U32 = struct.Struct("<I")
 _NO_ADDR = 1 << 64  # above every address a descriptor can hold
+
+
+def _check_int(value: object, what: str, minimum: int, maximum: int | None = None) -> None:
+    """Raise ValueError unless value is an int, not a bool, in [minimum, maximum]."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < minimum
+            or (maximum is not None and value > maximum)):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ValueError(f"{what} must be an integer {bound}, got {value!r}")
 
 
 class InvalidRegisterError(Exception):
@@ -159,11 +180,11 @@ class Nic:
     """The device model. One receive ring, num_tx_queues transmit rings."""
 
     def __init__(self, env: MemEnv, num_tx_queues: int = 1) -> None:
-        if not 1 <= num_tx_queues <= MAX_QUEUES:
-            raise ValueError(f"transmit queue count must be in [1, {MAX_QUEUES}], "
-                             f"got {num_tx_queues}")
+        _check_int(num_tx_queues, "transmit queue count", 1, MAX_QUEUES)
         self.env = env
         self._mem = env.dma
+        self._u64 = env.dma.cast("Q")  # descriptor words, index = address >> 3
+        self._u32 = env.dma.cast("I")  # head write-back words, index = address >> 2
         self.num_tx_queues = num_tx_queues
         self.now = 0
         self.link = Link(num_tx_queues)
@@ -285,7 +306,7 @@ class Nic:
         wire = link.rx_pending
         stamps = link.buffer_meta
         emitted = link.tx_emitted
-        mem = self._mem
+        mem, u64 = self._mem, self._u64
         classes = 1 + self.num_tx_queues
         c = self._rr  # class 0 is RX, 1 + q is TX q
         # shared is the last payload copied this step and [lo, hi) the range
@@ -317,7 +338,9 @@ class Nic:
             if c:
                 slot = ring.head
                 daddr = ring.base + slot * DESC_BYTES
-                baddr, meta = _DESC.unpack_from(mem, daddr)
+                di = daddr >> 3
+                baddr = u64[di]
+                meta = u64[di + 1]
                 length = meta & META_LEN_MASK
                 if length:
                     end = baddr + length
@@ -330,14 +353,14 @@ class Nic:
                         lo, hi = baddr, end
                     inject_time, order = stamps.get(baddr, (None, None))
                     emitted[c - 1].append(Frame(shared, inject_time, now, order))
-                _U64.pack_into(mem, daddr + 8, meta | META_DD)
+                u64[di + 1] = meta | META_DD
                 if lo < daddr + 16 and daddr + 8 < hi:
                     lo, hi = _NO_ADDR, -1
                 slot = (slot + 1) & (ring.length - 1)
                 ring.head = slot
                 if meta & META_RS and ring.wb:
                     wb = ring.wb
-                    _U32.pack_into(mem, wb, slot)
+                    self._u32[wb >> 2] = slot
                     if wb < hi and lo < wb + 4:
                         lo, hi = _NO_ADDR, -1
             else:
@@ -348,7 +371,8 @@ class Nic:
                     link.rx_dropped += 1
                 else:
                     daddr = rx.base + slot * DESC_BYTES
-                    (baddr,) = _U64.unpack_from(mem, daddr)
+                    di = daddr >> 3
+                    baddr = u64[di]
                     payload = frame.payload
                     n = len(payload)
                     try:
@@ -358,7 +382,7 @@ class Nic:
                         raise TranslationFault(f"receive slot {slot}: buffer {baddr:#x}+{n} "
                                                f"lies outside the DMA arena") from None
                     # payload first, then the whole metadata word: the publish order
-                    _U64.pack_into(mem, daddr + 8, n | META_EOP | META_DD)
+                    u64[di + 1] = n | META_EOP | META_DD
                     if (baddr < hi and lo < baddr + n) or (lo < daddr + 16 and daddr + 8 < hi):
                         lo, hi = _NO_ADDR, -1
                     rx.head = (slot + 1) & (rx.length - 1)

@@ -57,6 +57,22 @@ class TestInit:
         with pytest.raises(ValueError):
             Agent(env, Nic(env, 1), 8, 2)
 
+    @pytest.mark.parametrize("ring_size", [8.0, True])
+    def test_non_integer_ring_size_rejected(self, ring_size):
+        env = MemEnv()
+        with pytest.raises(ValueError, match="ring size"):
+            Agent(env, Nic(env, 1), ring_size, 1)
+        with pytest.raises(ValueError, match="ring size"):
+            build_pipeline(ring_size, 1)
+
+    @pytest.mark.parametrize("outputs", [1.0, True])
+    def test_non_integer_output_count_rejected(self, outputs):
+        env = MemEnv()
+        with pytest.raises(ValueError, match="output count"):
+            Agent(env, Nic(env, 1), 8, outputs)
+        with pytest.raises(ValueError, match="output count"):
+            build_pipeline(8, outputs)
+
     def test_recycle_period_multiple_of_flush(self):
         for recycle_period in (12, 0, -8):
             env = MemEnv()

@@ -93,6 +93,11 @@ class TestGenTraffic:
         with pytest.raises(ValueError, match="frame count"):
             gen_traffic(count, 64, 0)
 
+    @pytest.mark.parametrize("size", [64.0, True])
+    def test_non_integer_size_rejected(self, size):
+        with pytest.raises(ValueError, match="packet size"):
+            gen_traffic(1, size, 0)
+
 
 class TestParsePcap:
     def test_single_record(self):
@@ -597,7 +602,7 @@ class TestCli:
     @pytest.mark.parametrize("outputs", ["0", "9"])
     def test_output_count_out_of_range(self, tmp_path, capsys, outputs):
         assert main(["--csv", str(tmp_path / "out.csv"), "--outputs", outputs]) == 1
-        assert "queue count must be in [1, 8]" in capsys.readouterr().err
+        assert "output count must be an integer in [1, 8]" in capsys.readouterr().err
 
     def test_invalid_ring_size(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -4,19 +4,33 @@ These tests program rings through raw register writes on purpose, without
 the agent, so the device contract is pinned down independently.
 """
 
+import os
 import random
 import struct
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tinyring
 from tinyring import (DESC_BYTES, MAX_FRAME, META_DD, META_LEN_MASK, META_RS,
                       Frame, InvalidRegisterError, MemEnv, Nic, NotReadyError,
                       RegisterWriteFault, TranslationFault, ownership)
 
 U64 = struct.Struct("<Q")
 U32 = struct.Struct("<I")
+
+
+def test_big_endian_host_refuses_import():
+    # descriptor and write-back words go through native-order memoryview casts
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tinyring.__file__)))
+    code = "import sys; sys.byteorder = 'big'; import tinyring"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode != 0
+    assert "ImportError: tinyring needs a little-endian host" in run.stderr
 
 
 def walk_ownership(head, tail, length):
@@ -82,9 +96,9 @@ def tx_ring(env, nic, size=8, queue=0, wba=False):
 
 
 class TestRegisters:
-    @pytest.mark.parametrize("queues", [0, 9])
+    @pytest.mark.parametrize("queues", [0, 9, 1.0, True])
     def test_queue_count_range(self, queues):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="transmit queue count"):
             Nic(MemEnv(), queues)
 
     def test_tail_echo(self):
