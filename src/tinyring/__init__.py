@@ -2,15 +2,13 @@
 single-ring forwarding agent, a pool-based oracle, and a benchmark harness.
 """
 
-from .mem import (DEFAULT_ARENA_SIZE, DEFAULT_PAGE_SIZE, DmaRegion, MemEnv,
-                  OutOfMemory, TranslationFault)
-from .nic import (DESC_BYTES, MAX_FRAME, MAX_QUEUES, META_DD, META_EOP,
-                  META_LEN_MASK, META_RS, Descriptor, Frame,
-                  InvalidRegisterError, Link, Nic, NotReadyError,
-                  RegisterWriteFault, decode_descriptor, encode_descriptor,
-                  ownership)
-from .agent import (FLUSH_PERIOD, RECYCLE_PERIOD, Agent, PipelineStalled,
-                    Processor, ProtocolViolation, build_pipeline, forward_trace)
+from .mem import DEFAULT_PAGE_SIZE, MemEnv, OutOfMemory, TranslationFault
+from .nic import (DESC_BYTES, MAX_FRAME, META_DD, META_EOP, META_LEN_MASK,
+                  META_RS, Descriptor, Frame, InvalidRegisterError, Nic,
+                  NotReadyError, RegisterWriteFault, decode_descriptor,
+                  encode_descriptor, ownership)
+from .agent import (Agent, PipelineStalled, Processor, ProtocolViolation,
+                    build_pipeline, forward_trace)
 from .reference import BufferPool, RefPipeline, ref_init
 from .netfuncs import identity, macswap, make_processor, policer
 from .bench import (CSV_HEADER, DEVICE_BUDGET, DRAIN_ALLOWANCE,
@@ -22,14 +20,12 @@ from .bench import (CSV_HEADER, DEVICE_BUDGET, DRAIN_ALLOWANCE,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Agent", "BufferPool", "CSV_HEADER", "DEFAULT_ARENA_SIZE",
-    "DEFAULT_PAGE_SIZE", "DESC_BYTES", "DEVICE_BUDGET", "DRAIN_ALLOWANCE",
-    "Descriptor", "DmaRegion", "FLUSH_PERIOD", "Frame",
-    "InvalidRegisterError", "Link", "LoadPointResult",
-    "MAX_FRAME", "MAX_QUEUES", "META_DD", "META_EOP", "META_LEN_MASK",
-    "META_RS", "MemEnv", "Nic", "NoSustainableLoad", "NotReadyError",
-    "OutOfMemory", "PcapFormatError", "PipelineStalled", "Processor",
-    "ProtocolViolation", "RECYCLE_PERIOD", "RefPipeline",
+    "Agent", "BufferPool", "CSV_HEADER", "DEFAULT_PAGE_SIZE", "DESC_BYTES",
+    "DEVICE_BUDGET", "DRAIN_ALLOWANCE", "Descriptor", "Frame",
+    "InvalidRegisterError", "LoadPointResult", "MAX_FRAME", "META_DD",
+    "META_EOP", "META_LEN_MASK", "META_RS", "MemEnv", "Nic",
+    "NoSustainableLoad", "NotReadyError", "OutOfMemory", "PcapFormatError",
+    "PipelineStalled", "Processor", "ProtocolViolation", "RefPipeline",
     "RegisterWriteFault", "SEARCH_GRANULARITY", "TranslationFault",
     "build_pipeline", "decode_descriptor", "encode_descriptor",
     "find_max_throughput", "forward_trace", "gen_traffic", "identity",

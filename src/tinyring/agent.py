@@ -40,12 +40,12 @@ native-order word views of the arena (see tinyring.nic for why that is
 sound); each ring's first metadata word index is computed once, at
 construction.
 
-receive() and transmit() are the ring protocol split in two for callers
-that process a packet by hand. poll() is the same protocol in one call:
+receive() and transmit() are the ring protocol split in two. Nothing in
+this package calls them; they stay for processing a packet by hand, for
+filing a packet a raising processor left outstanding, and for perfbench's
+tracer, which wraps both by name. poll() is the same protocol in one call:
 it reads the receive descriptor itself and files the packet through the
-private helper transmit() also uses, so lengths are checked in one place;
-if the processor raises, the packet stays outstanding, as after
-receive().
+private helper transmit() also uses, so lengths are checked in one place.
 
 There is one driver loop, forward_trace: inject, step the device, poll,
 in lockstep. Only injection varies. It is flow-controlled by default (the
@@ -61,9 +61,9 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .mem import DEFAULT_PAGE_SIZE, MemEnv
+from .mem import DEFAULT_PAGE_SIZE, MemEnv, _check_int
 from .nic import (DESC_BYTES, MAX_FRAME, MAX_QUEUES, MAX_RING, META_DD, META_EOP,
-                  META_LEN_MASK, META_RS, MIN_RING, Frame, Nic, _check_int)
+                  META_LEN_MASK, META_RS, MIN_RING, Frame, Nic)
 
 FLUSH_PERIOD = 8
 RECYCLE_PERIOD = 64
@@ -100,8 +100,10 @@ class Agent:
         if num_outputs != nic.num_tx_queues:
             raise ValueError(f"device has {nic.num_tx_queues} transmit queues, "
                              f"agent needs {num_outputs}")
-        if flush_period < 1 or recycle_period < 1 or recycle_period % flush_period:
-            raise ValueError("recycle period must be a positive multiple of the flush period")
+        _check_int(flush_period, "flush period", 1)
+        _check_int(recycle_period, "recycle period", 1)
+        if recycle_period % flush_period:
+            raise ValueError("recycle period must be a multiple of the flush period")
         self.nic = nic
         self.ring_size = ring_size
         self.num_outputs = num_outputs
@@ -114,32 +116,29 @@ class Agent:
         txs = [env.allocate_dma(ring_size * DESC_BYTES) for _ in range(num_outputs)]
         bufs = env.allocate_dma(ring_size * MAX_FRAME)
         shadow = env.allocate_dma(4 * num_outputs)
-        self._rx_base = rx.phys_base
-        self._tx_bases = [r.phys_base for r in txs]
-        self._shadow_base = shadow.phys_base
         # One reusable full-capacity view per slot. This tuple is the whole
         # buffer set; it never changes after construction.
         self.buffers = tuple(bufs.view[i * MAX_FRAME:(i + 1) * MAX_FRAME]
                              for i in range(ring_size))
 
         # index of slot 0's metadata word on each ring; slot i's is 2 * i further
-        self._rx_meta = (self._rx_base >> 3) + 1
-        self._tx_metas = tuple((tb >> 3) + 1 for tb in self._tx_bases)
+        self._rx_meta = (rx.phys_base >> 3) + 1
+        self._tx_metas = tuple((tx.phys_base >> 3) + 1 for tx in txs)
         # the head write-back words, one per queue, as 32-bit words
-        first = self._shadow_base >> 2
+        first = shadow.phys_base >> 2
         self._heads = env.dma.cast("I")[first:first + num_outputs]
         for i in range(ring_size):
             baddr = bufs.phys_base + i * MAX_FRAME
             for meta in (self._rx_meta, *self._tx_metas):
                 u64[meta - 1 + 2 * i] = baddr
 
-        nic.reg_write("RDBA", self._rx_base)
+        nic.reg_write("RDBA", rx.phys_base)
         nic.reg_write("RDLEN", ring_size)
         nic.reg_write("RDT", ring_size - 1)  # device owns every slot but one
-        for q in range(num_outputs):
-            nic.reg_write("TDBA", self._tx_bases[q], q)
+        for q, tx in enumerate(txs):
+            nic.reg_write("TDBA", tx.phys_base, q)
             nic.reg_write("TDLEN", ring_size, q)
-            nic.reg_write("TDWBA", self._shadow_base + 4 * q, q)
+            nic.reg_write("TDWBA", shadow.phys_base + 4 * q, q)
             nic.reg_write("TXEN", 1, q)
         nic.reg_write("RXEN", 1)
 
@@ -155,7 +154,8 @@ class Agent:
 
         Returns None while no packet is waiting. A returned packet is
         outstanding until transmit() files it; receiving again before that
-        is a protocol violation.
+        is a protocol violation. For processing by hand; perfbench's tracer
+        wraps it by name.
         """
         if self._inflight:
             raise ProtocolViolation("previous packet was never transmitted")
@@ -167,7 +167,11 @@ class Agent:
         return self.buffers[slot], meta & META_LEN_MASK
 
     def transmit(self, lengths: Sequence[int]) -> None:
-        """File the outstanding packet on every output; length 0 skips one."""
+        """File the outstanding packet on every output; length 0 skips one.
+
+        For processing by hand and for filing a packet a raising processor
+        left outstanding in poll(); perfbench's tracer wraps it by name.
+        """
         if not self._inflight:
             raise ProtocolViolation("no packet outstanding")
         self._file(lengths)

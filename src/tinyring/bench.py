@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .agent import Processor, build_pipeline, forward_trace
+from .mem import _check_int
 from .netfuncs import make_processor
-from .nic import MAX_FRAME, Frame, _check_int
+from .nic import MAX_FRAME, Frame
 
 DEVICE_BUDGET = 1
 DRAIN_ALLOWANCE = 64        # steps granted past the end of the injection schedule

@@ -29,6 +29,14 @@ _PAGE_MASK = DEFAULT_PAGE_SIZE - 1  # in-page offset bits of an address
 _VIRT_BASE = 0x7F00_0000_0000
 
 
+def _check_int(value: object, what: str, minimum: int, maximum: int | None = None) -> None:
+    """Raise ValueError unless value is an int, not a bool, in [minimum, maximum]."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < minimum
+            or (maximum is not None and value > maximum)):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ValueError(f"{what} must be an integer {bound}, got {value!r}")
+
+
 class TranslationFault(Exception):
     """Address is not covered by any live mapping."""
 
@@ -55,8 +63,7 @@ class MemEnv:
     """Execution environment owning the DMA arena and the page map."""
 
     def __init__(self, arena_size: int = DEFAULT_ARENA_SIZE) -> None:
-        if arena_size < 1:
-            raise ValueError(f"arena size must be positive, got {arena_size}")
+        _check_int(arena_size, "arena size", 1)
         self._arena = bytearray(-(-arena_size // DEFAULT_PAGE_SIZE) * DEFAULT_PAGE_SIZE)
         # Whole-arena view used for device-side DMA. memoryview assignment
         # cannot resize, so an out-of-range device access raises instead of
@@ -73,8 +80,7 @@ class MemEnv:
 
     def allocate_dma(self, size: int) -> DmaRegion:
         """Hand out a zeroed, page-aligned, physically contiguous region."""
-        if size < 1:
-            raise ValueError(f"allocation size must be positive, got {size}")
+        _check_int(size, "allocation size", 1)
         span = -(-size // DEFAULT_PAGE_SIZE) * DEFAULT_PAGE_SIZE
         if self._next_phys + span > len(self._arena):
             raise OutOfMemory(f"{size} bytes requested, "

@@ -47,7 +47,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 
-from .mem import MemEnv, TranslationFault
+from .mem import MemEnv, TranslationFault, _check_int
 
 if sys.byteorder != "little":
     raise ImportError("tinyring needs a little-endian host: descriptor and write-back "
@@ -66,14 +66,6 @@ MAX_RING = 65536
 
 _DESC = struct.Struct("<QQ")
 _NO_ADDR = 1 << 64  # above every address a descriptor can hold
-
-
-def _check_int(value: object, what: str, minimum: int, maximum: int | None = None) -> None:
-    """Raise ValueError unless value is an int, not a bool, in [minimum, maximum]."""
-    if (isinstance(value, bool) or not isinstance(value, int) or value < minimum
-            or (maximum is not None and value > maximum)):
-        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-        raise ValueError(f"{what} must be an integer {bound}, got {value!r}")
 
 
 class InvalidRegisterError(Exception):
@@ -128,8 +120,7 @@ def ownership(head: int, tail: int, length: int) -> set[int]:
     head == tail means the device owns nothing. A completely full ring is
     therefore unrepresentable, which is why drivers keep one slot unused.
     """
-    if length < 1:
-        raise ValueError(f"ring length must be positive, got {length}")
+    _check_int(length, "ring length", 1)
     if not (0 <= head < length and 0 <= tail < length):
         raise ValueError(f"head {head} and tail {tail} must lie in [0, {length})")
     if head <= tail:
@@ -181,7 +172,6 @@ class Nic:
 
     def __init__(self, env: MemEnv, num_tx_queues: int = 1) -> None:
         _check_int(num_tx_queues, "transmit queue count", 1, MAX_QUEUES)
-        self.env = env
         self._mem = env.dma
         self._u64 = env.dma.cast("Q")  # descriptor words, index = address >> 3
         self._u32 = env.dma.cast("I")  # head write-back words, index = address >> 2
@@ -231,7 +221,7 @@ class Nic:
                                     else f"transmit ring {queue}")
                 value = 1
         elif field == "wb":
-            if value and (value % 4 or value + 4 > self.env.arena_size):
+            if value and (value % 4 or value + 4 > len(self._mem)):
                 raise ValueError(f"{reg}({queue}) {value:#x} must be a 4-byte aligned arena address")
         elif ring.enabled:  # head, base and length
             raise RegisterWriteFault(f"{reg}({queue}) is device-owned while the ring is enabled")
@@ -244,7 +234,7 @@ class Nic:
                              f"[{MIN_RING}, {MAX_RING}], got {length}")
         if base % DESC_BYTES:
             raise ValueError(f"{what}: base {base:#x} is not 16-byte aligned")
-        if base + length * DESC_BYTES > self.env.arena_size:
+        if base + length * DESC_BYTES > len(self._mem):
             raise ValueError(f"{what}: does not fit the DMA arena")
         if ring.head >= length or ring.tail >= length:
             raise ValueError(f"{what}: head {ring.head} and tail {ring.tail} "
@@ -263,8 +253,7 @@ class Nic:
 
     def drain_tx(self, queue: int) -> list[Frame]:
         """Return and clear everything emitted on one output, in order."""
-        if not 0 <= queue < self.num_tx_queues:
-            raise ValueError(f"no transmit queue {queue}")
+        _check_int(queue, "transmit queue", 0, self.num_tx_queues - 1)
         out = self.link.tx_emitted[queue]
         self.link.tx_emitted[queue] = []
         return out
@@ -287,7 +276,9 @@ class Nic:
         A descriptor whose buffer runs past the DMA arena raises
         TranslationFault before the device writes or emits anything for
         it: a receive frame goes back to the head of the wire, and the
-        ring's head and the link counters stay as they were.
+        ring's head and the link counters stay as they were. Completions
+        served earlier in the step stay applied, and the cursor stays on
+        the faulted class, so the next step serves it first.
 
         Completions of the same bytes within one step share one payload
         object: a completion that reads the buffer address and length the
@@ -347,6 +338,7 @@ class Nic:
                     if baddr != lo or end != hi:
                         shared = bytes(mem[baddr:end])
                         if len(shared) != length:  # the slice stopped at the arena's end
+                            self._rr = c
                             raise TranslationFault(f"transmit queue {c - 1} slot {slot}: "
                                                    f"buffer {baddr:#x}+{length} lies "
                                                    f"outside the DMA arena")
@@ -379,6 +371,7 @@ class Nic:
                         mem[baddr:baddr + n] = payload
                     except ValueError:  # the slice stopped at the arena's end
                         wire.appendleft(frame)
+                        self._rr = c
                         raise TranslationFault(f"receive slot {slot}: buffer {baddr:#x}+{n} "
                                                f"lies outside the DMA arena") from None
                     # payload first, then the whole metadata word: the publish order

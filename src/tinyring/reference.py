@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .agent import Processor
+from .mem import _check_int
 from .nic import MAX_FRAME, Frame
 
 
@@ -19,8 +20,7 @@ class BufferPool:
     """Fixed set of packet buffers allocated once up front."""
 
     def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"pool capacity must be positive, got {capacity}")
+        _check_int(capacity, "pool capacity", 1)
         self.capacity = capacity
         self._free = [bytearray(MAX_FRAME) for _ in range(capacity)]
 
@@ -39,8 +39,7 @@ class RefPipeline:
     """One receive queue feeding num_outputs output queues through a processor."""
 
     def __init__(self, pool: BufferPool, num_outputs: int, processor: Processor) -> None:
-        if num_outputs < 1:
-            raise ValueError(f"output count must be positive, got {num_outputs}")
+        _check_int(num_outputs, "output count", 1)
         self.pool = pool
         self.num_outputs = num_outputs
         self.processor = processor
@@ -66,5 +65,5 @@ class RefPipeline:
 
 
 def ref_init(pool_capacity: int, num_outputs: int, processor: Processor) -> RefPipeline:
-    """Build a ready pipeline; no further allocation happens after this."""
+    """A ready pipeline; kept in the API because perfbench builds its oracle with it."""
     return RefPipeline(BufferPool(pool_capacity), num_outputs, processor)

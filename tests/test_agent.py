@@ -79,11 +79,18 @@ class TestInit:
             with pytest.raises(ValueError):
                 Agent(env, Nic(env, 1), 8, 1, flush_period=8, recycle_period=recycle_period)
 
+    @pytest.mark.parametrize("flush, recycle, bad", [(2.0, 64, "flush"), (True, 64, "flush"),
+                                                     (1, 8.0, "recycle"), (1, True, "recycle")])
+    def test_non_integer_period_rejected(self, flush, recycle, bad):
+        env = MemEnv()
+        with pytest.raises(ValueError, match=f"{bad} period"):
+            Agent(env, Nic(env, 1), 8, 1, flush_period=flush, recycle_period=recycle)
+
     def test_tx_rings_mirror_buffer_addrs(self):
-        env, _, agent = make(8, 2)
+        env, nic, agent = make(8, 2)
         for i in range(8):
-            rx_addr = U64.unpack_from(env.dma, agent._rx_base + i * DESC_BYTES)[0]
-            for tb in agent._tx_bases:
+            rx_addr = U64.unpack_from(env.dma, nic.reg_read("RDBA") + i * DESC_BYTES)[0]
+            for tb in (nic.reg_read("TDBA", q) for q in range(2)):
                 assert U64.unpack_from(env.dma, tb + i * DESC_BYTES)[0] == rx_addr
 
 
@@ -127,7 +134,7 @@ class TestRingProtocol:
     def test_transmit_non_integer_length(self, bad):
         env, nic, agent = make(num_outputs=2, flush_period=1)
         feed_one(nic, agent, b"n" * 64)
-        meta0 = agent._tx_bases[0] + 8
+        meta0 = nic.reg_read("TDBA", 0) + 8
         before = U64.unpack_from(env.dma, meta0)[0]
         with pytest.raises(ValueError):
             agent.transmit([64, bad])
@@ -167,7 +174,7 @@ class TestRingProtocol:
         nic.step_device(1)
         with pytest.raises(ValueError):
             agent.poll(lambda buf, length, num_outputs: [length, 64.0])
-        assert U64.unpack_from(env.dma, agent._tx_bases[0] + 8)[0] == 0
+        assert U64.unpack_from(env.dma, nic.reg_read("TDBA", 0) + 8)[0] == 0
         with pytest.raises(ProtocolViolation):
             agent.poll(identity())
         agent.transmit([64, 64])
@@ -215,7 +222,7 @@ class TestBatching:
         for i in range(8):
             feed_one(nic, agent, bytes([i]) * 64)
             agent.transmit([64])
-        metas = [U64.unpack_from(env.dma, agent._tx_bases[0] + i * DESC_BYTES + 8)[0]
+        metas = [U64.unpack_from(env.dma, nic.reg_read("TDBA", 0) + i * DESC_BYTES + 8)[0]
                  for i in range(8)]
         assert [bool(m & META_RS) for m in metas] == [False] * 7 + [True]
 
@@ -257,7 +264,7 @@ class TestRecycle:
         agent.recycle()
         head, tail = nic.reg_read("RDH"), nic.reg_read("RDT")
         for slot in ownership(head, tail, 16):
-            meta = U64.unpack_from(env.dma, agent._rx_base + slot * DESC_BYTES + 8)[0]
+            meta = U64.unpack_from(env.dma, nic.reg_read("RDBA") + slot * DESC_BYTES + 8)[0]
             assert meta == 0
 
 
@@ -265,9 +272,9 @@ class TestReceiveSlotRetirement:
     def test_transmit_clears_done_bit(self):
         env, nic, agent = make(flush_period=1)
         feed_one(nic, agent, b"a" * 64)
-        assert U64.unpack_from(env.dma, agent._rx_base + 8)[0] & META_DD
+        assert U64.unpack_from(env.dma, nic.reg_read("RDBA") + 8)[0] & META_DD
         agent.transmit([64])
-        assert U64.unpack_from(env.dma, agent._rx_base + 8)[0] == 0
+        assert U64.unpack_from(env.dma, nic.reg_read("RDBA") + 8)[0] == 0
 
     def test_minimal_ring_never_sees_phantoms(self):
         # With two slots the tail sits on the processed slot every lap; a
@@ -617,7 +624,7 @@ class RingMachine(RuleBasedStateMachine):
         self.collect()
         assert self.emitted == self.expected()
         for q in range(self.agent.num_outputs):
-            (wb,) = struct.unpack_from("<I", self.env.dma, self.agent._shadow_base + 4 * q)
+            (wb,) = struct.unpack_from("<I", self.env.dma, self.nic.reg_read("TDWBA", q))
             assert wb == self.nic.reg_read("TDT", q)
 
     def collect(self):
@@ -628,7 +635,7 @@ class RingMachine(RuleBasedStateMachine):
     def device_owned_rx_slots_are_fresh(self):
         agent, nic = self.agent, self.nic
         for slot in ownership(nic.reg_read("RDH"), nic.reg_read("RDT"), agent.ring_size):
-            assert U64.unpack_from(self.env.dma, agent._rx_base + slot * DESC_BYTES + 8)[0] == 0
+            assert U64.unpack_from(self.env.dma, nic.reg_read("RDBA") + slot * DESC_BYTES + 8)[0] == 0
 
     @invariant()
     def counters_ordered(self):

@@ -43,6 +43,18 @@ def test_zero_size_rejected():
         MemEnv(arena_size=0)
 
 
+@pytest.mark.parametrize("size", [4096.0, True])
+def test_non_integer_arena_size_rejected(size):
+    with pytest.raises(ValueError, match="arena size"):
+        MemEnv(arena_size=size)
+
+
+@pytest.mark.parametrize("size", [64.0, True])
+def test_non_integer_allocation_size_rejected(size):
+    with pytest.raises(ValueError, match="allocation size"):
+        MemEnv().allocate_dma(size)
+
+
 def test_arena_exhaustion():
     env = MemEnv(arena_size=2 * 4096)
     env.allocate_dma(4097)  # rounds up to both pages

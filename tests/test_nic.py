@@ -61,6 +61,11 @@ class TestOwnership:
         with pytest.raises(ValueError):
             ownership(0, 0, 0)
 
+    @pytest.mark.parametrize("length", [2.0, True])
+    def test_non_integer_length_rejected(self, length):
+        with pytest.raises(ValueError, match="ring length"):
+            ownership(0, 0, length)
+
     @given(length=st.sampled_from([2, 4, 8, 16, 32, 64, 256]), data=st.data())
     def test_matches_walk(self, length, data):
         head = data.draw(st.integers(min_value=0, max_value=length - 1))
@@ -240,6 +245,11 @@ class TestLink:
     def test_drain_unknown_queue(self):
         with pytest.raises(ValueError):
             Nic(MemEnv()).drain_tx(1)
+
+    @pytest.mark.parametrize("queue", [0.0, True])
+    def test_drain_non_integer_queue(self, queue):
+        with pytest.raises(ValueError, match="transmit queue"):
+            Nic(MemEnv(), 2).drain_tx(queue)
 
 
 class TestStepping:
@@ -421,6 +431,46 @@ class TestArenaBounds:
         U64.pack_into(env.dma, ring.phys_base, bufs.phys_base)
         nic.step_device(4)
         assert [len(f.payload) for f in nic.drain_tx(0)] == [64]
+
+    def test_transmit_fault_leaves_cursor_on_the_queue(self):
+        # the step serves the receive ring, then faults on transmit queue 0;
+        # once repaired, that queue is served before the receive ring again
+        env = MemEnv()
+        nic = Nic(env)
+        rx_ring(env, nic)
+        ring, bufs, _ = tx_ring(env, nic)
+        U64.pack_into(env.dma, ring.phys_base, env.arena_size + 100)
+        U64.pack_into(env.dma, ring.phys_base + 8, 64)
+        nic.reg_write("TDT", 1, 0)
+        nic.inject_rx(Frame(b"a" * 64))
+        nic.inject_rx(Frame(b"b" * 64))
+        with pytest.raises(TranslationFault):
+            nic.step_device(2)
+        assert nic.link.rx_delivered == 1
+        U64.pack_into(env.dma, ring.phys_base, bufs.phys_base)
+        assert nic.step_device(1) == 1
+        assert [len(f.payload) for f in nic.drain_tx(0)] == [64]
+        assert nic.link.rx_delivered == 1
+
+    def test_receive_fault_leaves_cursor_on_receive(self):
+        # the step serves transmit queue 0, then faults on the receive ring;
+        # once repaired, the receive ring is served before the queue again
+        env = MemEnv()
+        nic = Nic(env)
+        ring, bufs = rx_ring(env, nic)
+        tx_ring(env, nic)  # zero-length descriptors: each retires without emitting
+        nic.inject_rx(Frame(b"a" * 64))
+        assert nic.step_device(1) == 1  # receive served; the cursor moves to queue 0
+        U64.pack_into(env.dma, ring.phys_base + DESC_BYTES, env.arena_size + 100)
+        nic.reg_write("TDT", 2, 0)
+        nic.inject_rx(Frame(b"b" * 64))
+        with pytest.raises(TranslationFault):
+            nic.step_device(2)
+        assert nic.reg_read("TDH", 0) == 1
+        U64.pack_into(env.dma, ring.phys_base + DESC_BYTES, bufs.phys_base + MAX_FRAME)
+        assert nic.step_device(1) == 1
+        assert nic.link.rx_delivered == 2
+        assert nic.reg_read("TDH", 0) == 1
 
 
 def two_queues_on_one_buffer(lengths=(64, 64), rx=False):

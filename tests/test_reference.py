@@ -15,6 +15,11 @@ class TestBufferPool:
         with pytest.raises(ValueError):
             BufferPool(0)
 
+    @pytest.mark.parametrize("capacity", [2.0, True])
+    def test_non_integer_capacity_rejected(self, capacity):
+        with pytest.raises(ValueError, match="pool capacity"):
+            BufferPool(capacity)
+
     def test_acquire_release_roundtrip(self):
         pool = BufferPool(4)
         bufs = [pool.acquire() for _ in range(4)]
@@ -40,6 +45,11 @@ class TestInit:
     def test_zero_outputs_rejected(self):
         with pytest.raises(ValueError):
             RefPipeline(BufferPool(1), 0, identity())
+
+    @pytest.mark.parametrize("outputs", [1.5, True])
+    def test_non_integer_output_count_rejected(self, outputs):
+        with pytest.raises(ValueError, match="output count"):
+            RefPipeline(BufferPool(1), outputs, identity())
 
     def test_output_queue_count(self):
         pipe = ref_init(16, 3, identity())

@@ -62,20 +62,19 @@ class SpecDevice:
                                               for q in range(self.classes - 1)):
             raise NotReadyError("device is not enabled")
         self.now += 1
-        cursor = self.cursor
         done = 0
         while done < budget:
-            ready = [c % self.classes for c in range(cursor, cursor + self.classes)
+            ready = [c % self.classes for c in range(self.cursor, self.cursor + self.classes)
                      if self.has_work(c % self.classes)]
             if not ready:
                 break
+            self.cursor = ready[0]  # a fault while serving it leaves the cursor here
             if ready[0] == 0:
                 self.serve_rx()
             else:
                 self.serve_tx(ready[0] - 1)
-            cursor = (ready[0] + 1) % self.classes
+            self.cursor = (ready[0] + 1) % self.classes
             done += 1
-        self.cursor = cursor  # a fault above leaves the cursor where the step found it
         return done
 
     def word(self, addr, size):
