@@ -22,6 +22,9 @@ unambiguously.
 Tail writes are batched: transmit tails are published when `processed`
 is a multiple of `flush_period` (all queues in one pass, which keeps them
 equal), and the receive tail is republished at multiples of `recycle_period`.
+Each tail write is one call of a doorbell (Nic.doorbell) the agent binds
+to its ring at construction; only the set-up goes through the
+string-keyed reg_write.
 When a receive poll comes up empty the agent publishes and recycles
 immediately instead; without that, a ragged batch at the end of a burst
 would sit unpublished forever and rings no larger than the recycle period
@@ -48,7 +51,8 @@ it reads the receive descriptor itself and files the packet through the
 private helper transmit() also uses, so lengths are checked in one place.
 
 There is one driver loop, forward_trace: inject, step the device, poll,
-in lockstep. Only injection varies. It is flow-controlled by default (the
+in lockstep, skipping the steps in which nothing can happen. Only
+injection varies. It is flow-controlled by default (the
 next frame enters once the wire is clear and a receive slot is free) or
 timed (frame k enters at step due[k], which is how the bench offers load).
 Agent.run is the same loop over frames already on the wire. A pipeline
@@ -141,6 +145,9 @@ class Agent:
             nic.reg_write("TDWBA", shadow.phys_base + 4 * q, q)
             nic.reg_write("TXEN", 1, q)
         nic.reg_write("RXEN", 1)
+        # tail writers, bound to their rings once; see Nic.doorbell
+        self._tdts = tuple(nic.doorbell("TDT", q) for q in range(num_outputs))
+        self._rdt = nic.doorbell("RDT")
 
         self.processed = 0                      # unwrapped packets fully handled
         self._published = 0                     # unwrapped value last written to the TX tails
@@ -185,7 +192,7 @@ class Agent:
         if len(lengths) != self.num_outputs:
             raise ValueError(f"need {self.num_outputs} lengths, got {len(lengths)}")
         for q, n in enumerate(lengths):
-            if not isinstance(n, int) or not 0 <= n <= MAX_FRAME:
+            if type(n) is not int or not 0 <= n <= MAX_FRAME:
                 raise ValueError(f"output {q}: length {n!r} is not an integer "
                                  f"in [0, {MAX_FRAME}]")
         p = self.processed
@@ -221,8 +228,8 @@ class Agent:
         for meta in self._tx_metas:
             u64[meta + off] |= META_RS
         tail = p & self._mask
-        for q in range(self.num_outputs):
-            self.nic.reg_write("TDT", tail, q)
+        for tdt in self._tdts:
+            tdt(tail)
         self._published = p
 
     def recycle(self) -> None:
@@ -240,7 +247,7 @@ class Agent:
         if new_tail <= self._rdt_unwrapped:
             return
         self._rdt_unwrapped = new_tail
-        self.nic.reg_write("RDT", new_tail & self._mask)
+        self._rdt(new_tail & self._mask)
 
     def _tx_head(self) -> int:
         """The earliest transmit head across queues, unwrapped, from the head write-back."""
@@ -345,10 +352,20 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     reaches deadline or after max_packets packets. max_packets 0 returns 0
     without stepping. Returns the number of packets processed.
 
-    Two steps in a row in which the device retires nothing and the poll
-    finds nothing leave every later step unchanged until a frame enters:
-    the first empty poll already published and recycled. The loop then
-    moves the clock straight to the next due frame, or raises
+    The loop skips steps in which nothing can happen. After an empty poll
+    it checks its own end condition: the wire is empty, every delivered
+    packet has been processed and the agent is quiescent. Then the device
+    owns no descriptor with work on it and that poll already published
+    and recycled, so every later step is unchanged until a frame enters.
+    The loop stops if no frame is left; with due given it moves the clock
+    straight to the next due frame (or to deadline, if that comes first).
+    A poll that files a packet never leaves the agent quiescent, so the
+    check runs only after empty polls.
+
+    Short of quiescence, two steps in a row in which the device retires
+    nothing and the poll finds nothing also leave every later step
+    unchanged, as when a stopped transmit queue holds packets back: the
+    loop then jumps to the next due frame the same way, or raises
     PipelineStalled when no frame can enter.
 
     Raises ValueError, before anything is injected, for a device_budget
@@ -387,18 +404,19 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
             if count == max_packets:
                 break
             idle = False
-        elif worked:
-            idle = False
-        elif not idle:
-            idle = True
-        elif due is not None and k < n:
-            nic.now = due[k] if deadline is None else min(due[k], deadline)
-            idle = False
-        else:
+            continue  # a packet was just filed, so the agent is not quiescent
+        if not wire and agent.processed == link.rx_delivered and agent.quiescent():
+            if k == n:
+                break
+        elif worked or not idle:  # not the second dead step in a row
+            idle = not worked
+            continue
+        elif due is None or k == n:
             raise PipelineStalled(f"step {nic.now}: nothing can move with {agent.processed} "
                                   f"packets processed and {n - k} frames not injected "
                                   f"(is a queue stopped?)")
-        if (k == n and not wire and agent.processed == link.rx_delivered
-                and agent.quiescent()):
-            break
+        # nothing can move until a frame enters; a flow-controlled one enters next step
+        if due is not None:
+            nic.now = due[k] if deadline is None else min(due[k], deadline)
+        idle = False
     return count

@@ -16,6 +16,15 @@ Register file (all values unsigned 32-bit, ring lengths in descriptors):
     RXEN   enable            TXEN   enable
                              TDWBA  head write-back address (0 = off)
 
+Registers take an int value and an int queue index; a bool, a float or
+any other type is rejected (ValueError for a value, InvalidRegisterError
+for a queue), so a True queue cannot alias queue 1. A tail write must lie
+below the ring length read at the time of the write. doorbell(reg, queue)
+returns a one-argument writer for a tail register, found once: the
+driver rings TDT and RDT through it on every batch, the way a driver
+stores to a precomputed register address, and it applies the same tail
+rule as reg_write, from the same code.
+
 Ring lengths are powers of two in [2, 65536]; bases are physical, 16-byte
 aligned. Head, base and length are device-owned while the ring is
 enabled: software writes then fault, so the geometry the enable checked
@@ -46,6 +55,7 @@ import struct
 import sys
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from .mem import MemEnv, TranslationFault, _check_int
 
@@ -161,10 +171,18 @@ class Link:
 class _Ring:
     """Register state of one descriptor ring; enabled is 0 or 1."""
 
-    __slots__ = ("base", "length", "head", "tail", "enabled", "wb")
+    __slots__ = ("base", "length", "head", "tail", "enabled", "wb", "name")
 
-    def __init__(self) -> None:
+    def __init__(self, name: str) -> None:
         self.base = self.length = self.head = self.tail = self.enabled = self.wb = 0
+        self.name = name  # for error messages: "receive ring", "transmit ring 1"
+
+    def write_tail(self, value: int) -> None:
+        """The tail rule: an int, not a bool, below the ring length read now."""
+        if type(value) is not int or not 0 <= value < self.length:
+            raise ValueError(f"{self.name}: tail {value!r} is not an integer "
+                             f"in [0, {self.length})")
+        self.tail = value
 
 
 class Nic:
@@ -178,8 +196,8 @@ class Nic:
         self.num_tx_queues = num_tx_queues
         self.now = 0
         self.link = Link(num_tx_queues)
-        self._rx = _Ring()
-        self._tx = [_Ring() for _ in range(num_tx_queues)]
+        self._rx = _Ring("receive ring")
+        self._tx = [_Ring(f"transmit ring {q}") for q in range(num_tx_queues)]
         # (register name, queue) -> (ring, field): the whole register file
         self._regs: dict[tuple[str, int], tuple[_Ring, str]] = {
             (reg, 0): (self._rx, field) for reg, field in (
@@ -194,31 +212,31 @@ class Nic:
 
     # -- register file ----------------------------------------------------
 
-    def _no_register(self, reg: str, queue: int) -> InvalidRegisterError:
-        return InvalidRegisterError(f"no register {reg}({queue}) on a device with "
-                                    f"{self.num_tx_queues} transmit queues")
+    def _register(self, reg: str, queue: int) -> tuple[_Ring, str]:
+        """The (ring, field) behind a register; an int queue, not a bool, is required."""
+        if type(queue) is int:
+            try:
+                return self._regs[reg, queue]
+            except KeyError:
+                pass
+        raise InvalidRegisterError(f"no register {reg}({queue!r}) on a device with "
+                                   f"{self.num_tx_queues} transmit queues")
 
     def reg_read(self, reg: str, queue: int = 0) -> int:
-        try:
-            ring, field = self._regs[reg, queue]
-        except KeyError:
-            raise self._no_register(reg, queue) from None
+        ring, field = self._register(reg, queue)
         return getattr(ring, field)
 
     def reg_write(self, reg: str, value: int, queue: int = 0) -> None:
-        try:
-            ring, field = self._regs[reg, queue]
-        except KeyError:
-            raise self._no_register(reg, queue) from None
-        if not 0 <= value < 1 << 32:
-            raise ValueError(f"register value must fit 32 bits, got {value:#x}")
+        ring, field = self._register(reg, queue)
+        if type(value) is not int or not 0 <= value < 1 << 32:
+            raise ValueError(f"{reg}({queue}) value must be an integer fitting 32 bits, "
+                             f"got {value!r}")
         if field == "tail":
-            if value >= ring.length:
-                raise ValueError(f"{reg}({queue}) {value} outside ring of length {ring.length}")
-        elif field == "enabled":
+            ring.write_tail(value)
+            return
+        if field == "enabled":
             if value:
-                self._validate_ring(ring, "receive ring" if ring is self._rx
-                                    else f"transmit ring {queue}")
+                self._validate_ring(ring)
                 value = 1
         elif field == "wb":
             if value and (value % 4 or value + 4 > len(self._mem)):
@@ -227,8 +245,21 @@ class Nic:
             raise RegisterWriteFault(f"{reg}({queue}) is device-owned while the ring is enabled")
         setattr(ring, field, value)
 
-    def _validate_ring(self, ring: _Ring, what: str) -> None:
-        base, length = ring.base, ring.length
+    def doorbell(self, reg: str, queue: int = 0) -> Callable[[int], None]:
+        """A one-argument writer for tail register reg ("TDT" or "RDT") of queue.
+
+        doorbell(reg, q)(v) is reg_write(reg, v, q) with the register found
+        once, at this call, instead of at every write: the writer applies
+        the same tail rule, against the ring length at the time of the write.
+        """
+        ring, field = self._register(reg, queue)
+        if field != "tail":
+            raise InvalidRegisterError(f"{reg} is not a tail register; doorbells ring "
+                                       f"TDT and RDT only")
+        return ring.write_tail
+
+    def _validate_ring(self, ring: _Ring) -> None:
+        what, base, length = ring.name, ring.base, ring.length
         if length < MIN_RING or length > MAX_RING or length & (length - 1):
             raise ValueError(f"{what}: length must be a power of two in "
                              f"[{MIN_RING}, {MAX_RING}], got {length}")

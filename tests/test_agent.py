@@ -139,10 +139,24 @@ class TestRingProtocol:
         with pytest.raises(ValueError):
             agent.transmit([64, bad])
         assert U64.unpack_from(env.dma, meta0)[0] == before  # nothing half-filed
-        agent.transmit([64, True])  # bool is an int
+        with pytest.raises(ValueError):
+            agent.transmit([64, True])  # a bool is not a length
+        assert U64.unpack_from(env.dma, meta0)[0] == before
+        agent.transmit([64, 1])
         nic.step_device(8)
         assert [f.payload for f in nic.drain_tx(0)] == [b"n" * 64]
         assert [len(f.payload) for f in nic.drain_tx(1)] == [1]
+
+    def test_processor_bool_length_rejected(self):
+        # a processor that returns [True] used to emit a 1-byte frame
+        _, nic, agent = make()
+        nic.inject_rx(Frame(b"b" * 64))
+        nic.step_device(1)
+        with pytest.raises(ValueError, match="length True"):
+            agent.poll(lambda buf, n, outputs: [True])
+        agent.transmit([64])  # the packet stayed outstanding
+        agent.finish()
+        assert [len(f.payload) for f in nic.drain_tx(0)] == [64]
 
     def test_poll_after_receive_violates_protocol(self):
         _, nic, agent = make()
@@ -577,6 +591,88 @@ def test_timed_trace_resumes_across_deadline_segments(data):
                                    for f in nic.drain_tx(q)] for q in range(outputs)])
 
     assert run(segment) == run(None)
+
+
+def plain_forward(agent, frames, processor, budget, due, deadline):
+    """forward_trace's timed mode without its clock jumps: every step is run."""
+    nic = agent.nic
+    link = nic.link
+    n = len(frames)
+    k = count = 0
+    while deadline is None or nic.now < deadline:
+        while k < n and due[k] <= nic.now:
+            nic.inject_rx(frames[k])
+            k += 1
+        nic.step_device(budget)
+        count += agent.poll(processor)
+        if (k == n and not link.rx_pending and agent.processed == link.rx_delivered
+                and agent.quiescent()):
+            break
+    return count
+
+
+# the example count is left to the profile, so CI's deep pass runs ten times more
+@settings(deadline=None)
+@given(data=st.data())
+def test_forward_trace_matches_plain_loop(data):
+    # bursts separated by long gaps: the jump over a quiescent gap and the
+    # jump after two dead steps must both land where stepping one by one does
+    outputs = data.draw(st.integers(1, 4), label="outputs")
+    budget = data.draw(st.integers(1, 4), label="budget")
+    ring = data.draw(st.sampled_from([2, 8, 64]), label="ring")
+    flush, recycle = data.draw(st.sampled_from([(1, 8), (8, 64), (2, 4)]), label="periods")
+    nf = data.draw(st.sampled_from(sorted(NF_FACTORIES)), label="nf")
+    bursts = data.draw(st.lists(st.tuples(st.integers(0, 400), st.integers(1, 12),
+                                          st.integers(0, 3)), min_size=1, max_size=6),
+                       label="bursts (gap, frames, spacing)")
+    due = []
+    t = 0
+    for gap, count, spacing in bursts:
+        t += gap
+        for _ in range(count):
+            due.append(t)
+            t += spacing
+    deadline = data.draw(st.none() | st.integers(1, due[-1] + 200), label="deadline")
+    rng = random.Random(len(due))
+    payloads = [rng.randbytes(rng.choice((64, 576, 1500))) for _ in due]
+
+    def run(loop):
+        _, nic, agent = make(ring, outputs, flush_period=flush, recycle_period=recycle)
+        count = loop(agent, [Frame(p) for p in payloads], NF_FACTORIES[nf](), budget,
+                     due=due, deadline=deadline)
+        link = nic.link
+        regs = [nic.reg_read(r) for r in ("RDH", "RDT")]
+        regs += [nic.reg_read(r, q) for q in range(outputs) for r in ("TDH", "TDT")]
+        return (count, nic.now, agent.processed, regs, link.injected, link.rx_delivered,
+                link.rx_dropped, [[(f.order, f.inject_time, f.drain_time, f.payload)
+                                   for f in nic.drain_tx(q)] for q in range(outputs)])
+
+    assert run(forward_trace) == run(plain_forward)
+
+
+def test_stalled_timed_trace_runs_every_frame_first():
+    # A stopped queue leaves the pipeline short of quiescence, so only the
+    # two-dead-steps rule moves the clock: it must still inject each frame
+    # at its step and do all the plain loop does, and raise only once no
+    # frame is left.
+    due = [97 * k for k in range(24)]
+
+    def run(loop):
+        _, nic, agent = make(8, 2)
+        nic.reg_write("TXEN", 0, 1)
+        loop(agent, gen_traffic(24, 64, 1), identity(), 1, due=due, deadline=due[-1] + 100)
+        link = nic.link
+        return (agent.processed, nic.reg_read("RDT"), nic.reg_read("TDT", 0),
+                link.injected, link.rx_delivered, link.rx_dropped,
+                [(f.order, f.inject_time, f.drain_time) for f in nic.drain_tx(0)])
+
+    def stalls(*args, **kw):
+        with pytest.raises(PipelineStalled):
+            forward_trace(*args, **kw)
+
+    got = run(stalls)
+    assert got == run(plain_forward)
+    assert got[3:6] == (24, 7, 17)  # injected, delivered, dropped
 
 
 class RingMachine(RuleBasedStateMachine):

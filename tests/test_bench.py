@@ -218,6 +218,22 @@ class TestRunLoadPoint:
         run_load_point(100, frames, "identity", 256, 1)
         assert all(f.inject_time is None for f in frames)
 
+    def test_device_step_count(self):
+        # 400 frames, one every 10 steps. A frame leaves the pipeline
+        # quiescent after 3 steps (receive, publish, transmit), or after 2
+        # when its packet closes a flush batch of 8, and the clock then jumps
+        # to the next frame: 350 * 3 + 50 * 2. Stepping through the gaps, or
+        # jumping only after two dead steps (1948 steps), fails this.
+        steps = []
+        with pytest.MonkeyPatch.context() as mp:
+            def step_device(self, max_work=1, _step=Nic.step_device):
+                steps.append(max_work)
+                return _step(self, max_work)
+            mp.setattr(Nic, "step_device", step_device)
+            res = run_load_point(100, TRACE_400, "identity", 256, 1)
+        assert res.latency_p99 == 3
+        assert len(steps) == 1150
+
 
 def naive_load_point(load, nf, ring_size, num_outputs, frames, device_budget):
     """The plain lockstep loop: inject what is due, step, poll, every step.

@@ -222,6 +222,107 @@ class TestRegisters:
         with pytest.raises(ValueError):
             nic.reg_write("RXEN", 1)
 
+    @pytest.mark.parametrize("reg, value", [
+        ("RDLEN", 8.0), ("TDLEN", 8.0), ("RDT", 5.0), ("TDT", True), ("TXEN", True),
+        ("RDBA", "4096"), ("TDWBA", None),
+    ])
+    def test_non_integer_value_rejected(self, reg, value):
+        # 8.0 used to be stored, and the enable then raised a bare TypeError
+        nic = Nic(MemEnv(), 2)
+        nic.reg_write(reg[0] + "DLEN", 8)
+        before = nic.reg_read(reg)
+        with pytest.raises(ValueError, match="integer"):
+            nic.reg_write(reg, value)
+        assert nic.reg_read(reg) == before
+        assert type(nic.reg_read(reg)) is int
+
+    @pytest.mark.parametrize("queue", [True, 1.0, "1", None])
+    def test_non_integer_queue_rejected(self, queue):
+        # (reg, True) and (reg, 1.0) are the same dict key as (reg, 1)
+        nic = Nic(MemEnv(), 2)
+        nic.reg_write("TDLEN", 8, 1)
+        with pytest.raises(InvalidRegisterError):
+            nic.reg_read("TDLEN", queue)
+        with pytest.raises(InvalidRegisterError):
+            nic.reg_write("TDLEN", 16, queue)
+        with pytest.raises(InvalidRegisterError):
+            nic.doorbell("TDT", queue)
+        assert nic.reg_read("TDLEN", 1) == 8
+
+
+REGISTERS = [*((reg, 0) for reg in ("RDBA", "RDLEN", "RDH", "RDT", "RXEN")),
+             *((reg, q) for reg in ("TDBA", "TDLEN", "TDH", "TDT", "TXEN", "TDWBA")
+               for q in (0, 1))]
+
+
+def register_file(nic):
+    return [nic.reg_read(reg, q) for reg, q in REGISTERS]
+
+
+class TestDoorbell:
+    @settings(deadline=None)
+    @given(tail=st.sampled_from([("RDT", 0), ("TDT", 0), ("TDT", 1)]),
+           length=st.sampled_from([0, 2, 8, 1 << 31]),
+           value=st.one_of(st.integers(-2, 10), st.integers(), st.floats(),
+                           st.booleans(), st.sampled_from([1 << 31, 1 << 32])))
+    def test_matches_reg_write(self, tail, length, value):
+        # the same register state and the same exception type for any value
+        reg, queue = tail
+
+        def outcome(write):
+            nic = Nic(MemEnv(arena_size=4096), 2)
+            nic.reg_write(reg[0] + "DLEN", length, queue)
+            if length:
+                nic.reg_write(reg, length // 2, queue)
+            try:
+                write(nic)
+            except Exception as exc:  # the type is what is compared
+                return type(exc), register_file(nic)
+            return None, register_file(nic)
+
+        rung = outcome(lambda nic: nic.doorbell(reg, queue)(value))
+        written = outcome(lambda nic: nic.reg_write(reg, value, queue))
+        assert rung == written
+        assert rung[0] in (None, ValueError)
+
+    def test_reads_the_length_at_write_time(self):
+        env = MemEnv()
+        nic = Nic(env)
+        rdt = nic.doorbell("RDT")
+        with pytest.raises(ValueError):
+            rdt(0)  # no ring length yet
+        nic.reg_write("RDLEN", 16)
+        rdt(12)
+        assert nic.reg_read("RDT") == 12
+        nic.reg_write("RDT", 0)
+        nic.reg_write("RDLEN", 8)
+        with pytest.raises(ValueError):
+            rdt(12)
+        assert nic.reg_read("RDT") == 0
+
+    @pytest.mark.parametrize("reg, queue", [
+        ("RDLEN", 0), ("TDH", 0), ("TXEN", 1), ("RDT", 1), ("TDT", 2), ("EICR", 0),
+    ])
+    def test_only_tail_registers(self, reg, queue):
+        with pytest.raises(InvalidRegisterError):
+            Nic(MemEnv(), 2).doorbell(reg, queue)
+
+    def test_agent_rings_its_tails(self):
+        # the agent's batched TDT writes and its RDT recycle go through
+        # doorbells, not through reg_write
+        env = MemEnv()
+        nic = Nic(env, 2)
+        agent = tinyring.Agent(env, nic, 8, 2, flush_period=1, recycle_period=1)
+        calls = []
+        original = Nic.reg_write
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Nic, "reg_write", lambda self, *a: calls.append(a) or original(self, *a))
+            nic.inject_rx(Frame(b"d" * 64))
+            agent.run(tinyring.identity(), max_packets=1)
+        assert calls == []
+        assert [nic.reg_read("TDT", q) for q in (0, 1)] == [1, 1]
+        assert nic.reg_read("RDT") == 0
+
 
 class TestLink:
     def test_inject_fifo(self):
