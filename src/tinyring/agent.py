@@ -362,6 +362,16 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     A poll that files a packet never leaves the agent quiescent, so the
     check runs only after empty polls.
 
+    The check reads no head write-back word: the poll's own recycle() has
+    just read them. Recycling leaves the receive tail at
+    max(tail, earliest head - 1 + ring_size), heads only move forward and
+    never pass processed, and no tail exceeds processed - 1 + ring_size; so
+    right after it the tail sits at that bound exactly when every head has
+    reached processed, which with nothing outstanding is quiescent(). Every
+    delivered packet has been processed too: had the device delivered the
+    packet at processed, its done bit would still be set and the poll
+    would not have come up empty.
+
     Short of quiescence, two steps in a row in which the device retires
     nothing and the poll finds nothing also leave every later step
     unchanged, as when a stopped transmit queue holds packets back: the
@@ -369,12 +379,15 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     PipelineStalled when no frame can enter.
 
     Raises ValueError, before anything is injected, for a device_budget
-    that is not an integer of at least 1, a max_packets that is not None or
-    an integer of at least 0, or a due whose length is not len(frames).
+    that is not an integer of at least 1, a deadline or max_packets that is
+    not None or an integer of at least 0, or a due whose length is not
+    len(frames).
     """
     _check_int(device_budget, "device budget", 1)
     if due is not None and len(due) != len(frames):
         raise ValueError(f"due has {len(due)} entries for {len(frames)} frames")
+    if deadline is not None:
+        _check_int(deadline, "deadline", 0)
     if max_packets is not None:
         _check_int(max_packets, "max_packets", 0)
         if not max_packets:
@@ -383,6 +396,7 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     step, poll = nic.step_device, agent.poll
     link = nic.link
     wire = link.rx_pending
+    reach = agent.ring_size - 1  # the receive tail never passes processed + reach
     n = len(frames)
     k = 0
     count = 0
@@ -405,7 +419,7 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
                 break
             idle = False
             continue  # a packet was just filed, so the agent is not quiescent
-        if not wire and agent.processed == link.rx_delivered and agent.quiescent():
+        if not wire and agent._rdt_unwrapped == agent.processed + reach:
             if k == n:
                 break
         elif worked or not idle:  # not the second dead step in a row

@@ -19,7 +19,9 @@ pipeline up and is excluded from all statistics. Latency is drain step
 minus inject step; percentiles are nearest-rank (the 50th of [1, 2, 3, 4]
 is 2). One deterministic trial per load point; all points share one trace.
 The knee search stops a probe as soon as the frames output 0 could still
-emit before the deadline cannot bring its loss under the bound.
+emit before the deadline cannot bring its loss under the bound. The first
+such check needs only the trace length, so a probe that fails it costs no
+set-up: no trace copy, no schedule and no pipeline.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import struct
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .agent import Processor, build_pipeline, forward_trace
+from .agent import Processor, _check_geometry, build_pipeline, forward_trace
 from .mem import _check_int
 from .netfuncs import make_processor
 from .nic import MAX_FRAME, Frame
@@ -159,18 +161,33 @@ def _probe(offered_load: int, frames: Sequence[Frame], nf: Processor | str,
     unit, so at most ((deadline - now) * device_budget + U) // 2 more
     frames arrive. When the loss even that leaves is at least loss_bound,
     the full run would fail, and the probe stops.
+
+    The first check, at step 0, needs only the trace length, so it runs
+    before any set-up: every argument is checked first, and a probe that
+    fails it returns without copying the trace or building the schedule and
+    the pipeline.
     """
     _check_int(offered_load, "offered load", 1)
     if not frames:
         raise ValueError("the trace is empty")
     processor = make_processor(nf) if isinstance(nf, str) else nf
-    # fresh Frame objects: injection stamps them, runs must not alias
-    trace = [Frame(f.payload) for f in frames]
-    n = len(trace)
-    due = [k * 1000 // offered_load for k in range(n)]
-    deadline = due[-1] + 1 + DRAIN_ALLOWANCE
+    _check_geometry(ring_size, num_outputs)
+    _check_int(device_budget, "device budget", 1)
+    n = len(frames)
+    deadline = (n - 1) * 1000 // offered_load + 1 + DRAIN_ALLOWANCE  # the last due step + 1 + ...
     warm = n // WARMUP_FRACTION
     measured = n - warm
+
+    def doomed(now: int, received: int, emitted: int) -> bool:
+        """The bound above, with U = received and emitted measured frames so far."""
+        reachable = ((deadline - now) * device_budget + received) // 2
+        return (measured - emitted - reachable) / measured >= loss_bound
+
+    if loss_bound is not None and doomed(0, 0, 0):
+        return None
+    # fresh Frame objects: injection stamps them, runs must not alias
+    trace = [Frame(f.payload) for f in frames]
+    due = [k * 1000 // offered_load for k in range(n)]
     _env, nic, agent = build_pipeline(ring_size, num_outputs)
     if loss_bound is None:
         forward_trace(agent, trace, processor, device_budget, due=due, deadline=deadline)
@@ -178,20 +195,21 @@ def _probe(offered_load: int, frames: Sequence[Frame], nf: Processor | str,
         link = nic.link
         end = 0
         seen = emitted = 0  # frames on output 0 so far, and the measured ones among them
-        # a segment that stops short of its end finished the trace; one that
-        # finishes exactly at its end costs the next one an idle step, which
-        # emits nothing
-        while nic.now == end < deadline:
-            out0 = link.tx_emitted[0]
-            emitted += sum(f.order >= warm for f in out0[seen:])
-            seen = len(out0)
-            reachable = ((deadline - end) * device_budget + link.rx_delivered - seen) // 2
-            if (measured - emitted - reachable) / measured >= loss_bound:
-                return None
+        while True:
             k = link.injected
             end = min(end + _CHECK_INTERVAL, deadline)
             forward_trace(agent, trace[k:], processor, device_budget,
                           due=due[k:], deadline=end)
+            # a segment that stops short of its end finished the trace; one
+            # that finishes exactly at its end costs the next one an idle
+            # step, which emits nothing
+            if not nic.now == end < deadline:
+                break
+            out0 = link.tx_emitted[0]
+            emitted += sum(f.order >= warm for f in out0[seen:])
+            seen = len(out0)
+            if doomed(end, link.rx_delivered - seen, emitted):
+                return None
     got = [f for f in nic.drain_tx(0) if f.order >= warm]
     delivered = len(got)
     lost = measured - delivered

@@ -11,6 +11,7 @@ instance can serve any number of pipelines.
 from __future__ import annotations
 
 from .agent import Processor
+from .mem import _check_int
 
 
 def identity() -> Processor:
@@ -43,8 +44,10 @@ def policer(min_len: int) -> Processor:
     """Forward packets of at least min_len bytes, drop the rest.
 
     The boundary is inclusive: a packet of exactly min_len bytes passes.
-    min_len of 0 behaves as identity.
+    min_len of 0 behaves as identity. Raises ValueError for a min_len that
+    is not an integer of at least 0.
     """
+    _check_int(min_len, "policer minimum length", 0)
 
     def proc(buf: memoryview, length: int, num_outputs: int) -> list[int]:
         if length >= min_len:

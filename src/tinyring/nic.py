@@ -367,7 +367,7 @@ class Nic:
                 if length:
                     end = baddr + length
                     if baddr != lo or end != hi:
-                        shared = bytes(mem[baddr:end])
+                        shared = mem[baddr:end].tobytes()
                         if len(shared) != length:  # the slice stopped at the arena's end
                             self._rr = c
                             raise TranslationFault(f"transmit queue {c - 1} slot {slot}: "

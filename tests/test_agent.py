@@ -393,6 +393,15 @@ class TestRun:
         agent.finish()
         assert [f.payload for f in nic.drain_tx(0)] == [b"f" * 64]
 
+    @pytest.mark.parametrize("deadline", [15.5, True, -1])
+    def test_invalid_deadline_rejected(self, deadline):
+        # the clock jump used to make 15.5 the device clock
+        _, nic, agent = make(ring_size=16)
+        with pytest.raises(ValueError, match="deadline"):
+            forward_trace(agent, gen_traffic(4, 64, 5), identity(),
+                          due=[0, 10, 20, 30], deadline=deadline)
+        assert (nic.now, nic.link.injected) == (0, 0)
+
     @pytest.mark.parametrize("length", [4, 6])
     def test_due_length_must_match_frames(self, length):
         # checked before injecting: a short due would fail mid-trace and a
@@ -708,7 +717,12 @@ class RingMachine(RuleBasedStateMachine):
 
     @rule()
     def poll(self):
-        self.agent.poll(self.processor)
+        agent = self.agent
+        if not agent.poll(self.processor):
+            # forward_trace's end condition reads quiescence off the receive
+            # tail once an empty poll has recycled
+            at_bound = agent._rdt_unwrapped == agent.processed - 1 + agent.ring_size
+            assert agent.quiescent() == at_bound
 
     @rule()
     def recycle(self):

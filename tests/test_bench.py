@@ -464,6 +464,69 @@ class TestFindMax:
         assert best == run_load_point(best.offered_load, frames, "identity", 64, 1)
 
 
+class TestProbeSetUp:
+    """A knee-search probe that fails its first early-stop check returns
+    before it copies the trace or builds a pipeline, and still checks every
+    argument first."""
+
+    FAILS_AT_STEP_0 = 1000  # 2000 frames: at most 1032 of 1800 measured can arrive
+
+    def test_default_sweep_builds_eight_pipelines(self):
+        # the golden sweep: 6 search probes (2 of them fail at step 0) and 4
+        # further rows; building for every probe made 10
+        builds = []
+        with pytest.MonkeyPatch.context() as mp:
+            def counting(*args, _build=bench.build_pipeline):
+                builds.append(args)
+                return _build(*args)
+            mp.setattr(bench, "build_pipeline", counting)
+            rows = run_sweep("identity", 256, 1, 100, trace_length=2000)
+        assert len(builds) == 8
+        sink = io.StringIO()
+        write_csv(rows, sink)
+        assert sink.getvalue() == (DATA / "golden_sweep.csv").read_text()
+
+    def test_first_check_is_inclusive(self):
+        # 1111 frames at load 574: 1000 measured, deadline 1998, so at most
+        # 999 can arrive and the loss bound is met exactly
+        builds = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bench, "build_pipeline", lambda *a: builds.append(a))
+            assert bench._probe(574, gen_traffic(1111, 64, 0), "identity", 256, 1, 1,
+                                LOSS_BOUND) is None
+        assert builds == []
+
+    @pytest.mark.parametrize("load", [700, 900, 1000])
+    def test_overloaded_deadline_matches_naive_loop(self, load):
+        # the deadline is computed before the schedule; on an overloaded
+        # point a step more or less changes what output 0 emits
+        got = run_load_point(load, TRACE_400, "identity", 256, 1)
+        want, _ = naive_load_point(load, "identity", 256, 1, TRACE_400, 1)
+        assert got.lost > 0
+        assert got == want
+
+    @pytest.mark.parametrize("ring, outputs, budget, nf, what", [
+        (6, 1, 1, "identity", "power of two"),
+        (256, 9, 1, "identity", "output count"),
+        (256, 1, 1.5, "identity", "device budget"),
+        (256, 1, 1, "firewall", "network function"),
+    ])
+    def test_arguments_checked_before_the_first_check(self, ring, outputs, budget, nf,
+                                                      what):
+        frames = gen_traffic(2000, 64, 0)
+        with pytest.raises(ValueError, match=what):
+            bench._probe(self.FAILS_AT_STEP_0, frames, nf, ring, outputs, budget,
+                         LOSS_BOUND)
+
+    @pytest.mark.parametrize("ring, outputs", [(6, 1), (256, 9)])
+    def test_search_and_sweep_reject_bad_geometry(self, ring, outputs):
+        for search in (lambda: find_max_throughput("identity", ring, outputs),
+                       lambda: run_sweep("identity", ring, outputs, 100)):
+            with pytest.raises(ValueError) as info:
+                search()
+            assert not isinstance(info.value, NoSustainableLoad)
+
+
 class TestRunSweep:
     def test_sweep_shape_and_conservation(self):
         results = run_sweep("identity", 256, 1, 100, trace_length=400)
@@ -619,6 +682,13 @@ class TestCli:
     def test_output_count_out_of_range(self, tmp_path, capsys, outputs):
         assert main(["--csv", str(tmp_path / "out.csv"), "--outputs", outputs]) == 1
         assert "output count must be an integer in [1, 8]" in capsys.readouterr().err
+
+    def test_invalid_policer_threshold(self, tmp_path, capsys):
+        path = tmp_path / "out.csv"
+        assert main(["--csv", str(path), "--nf", "policer", "--policer-min-len", "-1",
+                     "--packets", "200", "--ring-size", "64"]) == 1
+        assert "policer minimum length" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_invalid_ring_size(self, tmp_path):
         path = tmp_path / "out.csv"

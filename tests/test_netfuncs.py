@@ -78,6 +78,14 @@ class TestPolicer:
         _, out = apply(policer(100), bytes(range(64)))
         assert out == bytes(range(64))
 
+    @pytest.mark.parametrize("min_len", [-3, -1, "x", 1.5, None, True])
+    def test_invalid_threshold_rejected(self, min_len):
+        # -3 acted as identity and "x" raised a bare TypeError on the first packet
+        with pytest.raises(ValueError, match="policer minimum length"):
+            policer(min_len)
+        with pytest.raises(ValueError, match="policer minimum length"):
+            make_processor("policer", min_len=min_len)
+
 
 class TestFactory:
     def test_known_names(self):
