@@ -336,6 +336,11 @@ def build_pipeline(ring_size: int, num_outputs: int = 1,
     return env, nic, Agent(env, nic, ring_size, num_outputs, flush_period, recycle_period)
 
 
+def _reject_due(due: Sequence[int], k: int) -> None:
+    raise ValueError(f"due[{k}] is {due[k]!r}: each entry must be an integer, not a "
+                     f"bool, and no smaller than the entry before it")
+
+
 def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
                   device_budget: int = 1, *, due: Sequence[int] | None = None,
                   deadline: int | None = None, max_packets: int | None = None) -> int:
@@ -381,11 +386,19 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     Raises ValueError, before anything is injected, for a device_budget
     that is not an integer of at least 1, a deadline or max_packets that is
     not None or an integer of at least 0, or a due whose length is not
-    len(frames).
+    len(frames). An entry of due that is not an integer (a bool included)
+    or is smaller than the entry before it raises ValueError when the loop
+    first reaches it, before it can set the clock or a frame's stamp; the
+    frames before it stay injected. Entries are checked one at a time, not
+    in a pass over the list, so a schedule handed over in segments (as the
+    bench's knee-search probes do) is not scanned again by every call.
     """
     _check_int(device_budget, "device budget", 1)
-    if due is not None and len(due) != len(frames):
-        raise ValueError(f"due has {len(due)} entries for {len(frames)} frames")
+    if due is not None:
+        if len(due) != len(frames):
+            raise ValueError(f"due has {len(due)} entries for {len(frames)} frames")
+        if due and type(due[0]) is not int:
+            _reject_due(due, 0)
     if deadline is not None:
         _check_int(deadline, "deadline", 0)
     if max_packets is not None:
@@ -412,6 +425,8 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
                 while k < n and due[k] <= nic.now:
                     nic.inject_rx(frames[k])
                     k += 1
+                    if k < n and (type(due[k]) is not int or due[k] < due[k - 1]):
+                        _reject_due(due, k)
         worked = step(device_budget)
         if poll(processor):
             count += 1

@@ -75,7 +75,6 @@ MIN_RING = 2
 MAX_RING = 65536
 
 _DESC = struct.Struct("<QQ")
-_NO_ADDR = 1 << 64  # above every address a descriptor can hold
 
 
 class InvalidRegisterError(Exception):
@@ -313,12 +312,12 @@ class Nic:
 
         Completions of the same bytes within one step share one payload
         object: a completion that reads the buffer address and length the
-        last copy read reuses that bytes object, unless a device write of
-        this step (receive payload, receive metadata, done bit, head
-        write-back) has overlapped the copied range since. Nothing else
-        writes memory during a step, so each payload still holds exactly
-        the bytes in memory at its own completion. Payloads are immutable
-        bytes, so callers cannot tell a shared one from a fresh copy.
+        last copy read reuses that bytes object, unless a receive delivery
+        came since, or a done bit or head write-back has overlapped the
+        copied range since. Nothing else writes memory during a step, so
+        each payload still holds exactly the bytes in memory at its own
+        completion. Payloads are immutable bytes, so callers cannot tell a
+        shared one from a fresh copy.
         """
         rx, txs = self._rx, self._tx
         if not rx.enabled and not any(t.enabled for t in txs):
@@ -332,89 +331,84 @@ class Nic:
         classes = 1 + self.num_tx_queues
         c = self._rr  # class 0 is RX, 1 + q is TX q
         # shared is the last payload copied this step and [lo, hi) the range
-        # it was copied from. With no copy the range is [_NO_ADDR, -1), which
-        # every overlap test below rejects at its first compare.
-        lo, hi = _NO_ADDR, -1
-        done = 0
-        while done < max_work:
-            if c:
-                ring = txs[c - 1]
-                idle = ring.head == ring.tail or not ring.enabled
-            else:
-                idle = not wire or not rx.enabled
-            if idle:
-                # move the cursor on to the next class with work; after a full
-                # lap it is back on the class it started from
-                for _ in range(classes):
+        # it was copied from; hi == -1 means there is no copy to share.
+        lo = hi = -1
+        done = passed = 0  # passed: idle classes visited since the last served one
+        try:
+            while done < max_work:
+                if c:
+                    ring = txs[c - 1]
+                    work = ring.head != ring.tail and ring.enabled
+                else:
+                    work = wire and rx.enabled
+                if not work:
+                    # move on; a full lap of idle classes ends the step with
+                    # the cursor back on the class it started from
                     c += 1
                     if c == classes:
                         c = 0
-                    if c:
-                        ring = txs[c - 1]
-                        if ring.enabled and ring.head != ring.tail:
-                            break
-                    elif rx.enabled and wire:
+                    passed += 1
+                    if passed == classes:
                         break
-                else:
-                    break
-            if c:
-                slot = ring.head
-                daddr = ring.base + slot * DESC_BYTES
-                di = daddr >> 3
-                baddr = u64[di]
-                meta = u64[di + 1]
-                length = meta & META_LEN_MASK
-                if length:
-                    end = baddr + length
-                    if baddr != lo or end != hi:
-                        shared = mem[baddr:end].tobytes()
-                        if len(shared) != length:  # the slice stopped at the arena's end
-                            self._rr = c
-                            raise TranslationFault(f"transmit queue {c - 1} slot {slot}: "
-                                                   f"buffer {baddr:#x}+{length} lies "
-                                                   f"outside the DMA arena")
-                        lo, hi = baddr, end
-                    inject_time, order = stamps.get(baddr, (None, None))
-                    emitted[c - 1].append(Frame(shared, inject_time, now, order))
-                u64[di + 1] = meta | META_DD
-                if lo < daddr + 16 and daddr + 8 < hi:
-                    lo, hi = _NO_ADDR, -1
-                slot = (slot + 1) & (ring.length - 1)
-                ring.head = slot
-                if meta & META_RS and ring.wb:
-                    wb = ring.wb
-                    self._u32[wb >> 2] = slot
-                    if wb < hi and lo < wb + 4:
-                        lo, hi = _NO_ADDR, -1
-            else:
-                frame = wire.popleft()
-                slot = rx.head
-                if slot == rx.tail:
-                    # no device-owned descriptor: the wire does not wait
-                    link.rx_dropped += 1
-                else:
-                    daddr = rx.base + slot * DESC_BYTES
+                    continue
+                passed = 0
+                if c:
+                    slot = ring.head
+                    daddr = ring.base + slot * DESC_BYTES
                     di = daddr >> 3
                     baddr = u64[di]
-                    payload = frame.payload
-                    n = len(payload)
-                    try:
-                        mem[baddr:baddr + n] = payload
-                    except ValueError:  # the slice stopped at the arena's end
-                        wire.appendleft(frame)
-                        self._rr = c
-                        raise TranslationFault(f"receive slot {slot}: buffer {baddr:#x}+{n} "
-                                               f"lies outside the DMA arena") from None
-                    # payload first, then the whole metadata word: the publish order
-                    u64[di + 1] = n | META_EOP | META_DD
-                    if (baddr < hi and lo < baddr + n) or (lo < daddr + 16 and daddr + 8 < hi):
-                        lo, hi = _NO_ADDR, -1
-                    rx.head = (slot + 1) & (rx.length - 1)
-                    link.rx_delivered += 1
-                    stamps[baddr] = (frame.inject_time, frame.order)
-            c += 1
-            if c == classes:
-                c = 0
-            done += 1
-        self._rr = c
+                    meta = u64[di + 1]
+                    length = meta & META_LEN_MASK
+                    if length:
+                        end = baddr + length
+                        if baddr != lo or end != hi:
+                            shared = mem[baddr:end].tobytes()
+                            if len(shared) != length:  # the slice stopped at the arena's end
+                                raise TranslationFault(f"transmit queue {c - 1} slot {slot}: "
+                                                       f"buffer {baddr:#x}+{length} lies "
+                                                       f"outside the DMA arena")
+                            lo, hi = baddr, end
+                        inject_time, order = stamps.get(baddr, (None, None))
+                        emitted[c - 1].append(Frame(shared, inject_time, now, order))
+                    u64[di + 1] = meta | META_DD
+                    if lo < daddr + 16 and daddr + 8 < hi:
+                        hi = -1
+                    slot = (slot + 1) & (ring.length - 1)
+                    ring.head = slot
+                    if meta & META_RS and ring.wb:
+                        wb = ring.wb
+                        self._u32[wb >> 2] = slot
+                        if wb < hi and lo < wb + 4:
+                            hi = -1
+                else:
+                    frame = wire.popleft()
+                    slot = rx.head
+                    if slot == rx.tail:
+                        # no device-owned descriptor: the wire does not wait
+                        link.rx_dropped += 1
+                    else:
+                        daddr = rx.base + slot * DESC_BYTES
+                        di = daddr >> 3
+                        baddr = u64[di]
+                        payload = frame.payload
+                        n = len(payload)
+                        try:
+                            mem[baddr:baddr + n] = payload
+                        except ValueError:  # the slice stopped at the arena's end
+                            wire.appendleft(frame)
+                            raise TranslationFault(f"receive slot {slot}: buffer "
+                                                   f"{baddr:#x}+{n} lies outside the "
+                                                   f"DMA arena") from None
+                        # payload first, then the whole metadata word: the publish order
+                        u64[di + 1] = n | META_EOP | META_DD
+                        hi = -1
+                        rx.head = (slot + 1) & (rx.length - 1)
+                        link.rx_delivered += 1
+                        stamps[baddr] = (frame.inject_time, frame.order)
+                c += 1
+                if c == classes:
+                    c = 0
+                done += 1
+        finally:
+            self._rr = c
         return done

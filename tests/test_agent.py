@@ -11,9 +11,9 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
 from tinyring import (DESC_BYTES, META_DD, META_RS, Agent, Frame, MemEnv, Nic,
-                      PipelineStalled, ProtocolViolation, build_pipeline,
-                      forward_trace, gen_traffic, identity, macswap, ownership,
-                      policer, ref_init, service_rate)
+                      PipelineStalled, ProtocolViolation, TranslationFault,
+                      build_pipeline, forward_trace, gen_traffic, identity,
+                      macswap, ownership, policer, ref_init, service_rate)
 
 U64 = struct.Struct("<Q")
 
@@ -412,6 +412,23 @@ class TestRun:
                           due=list(range(length)))
         assert (nic.now, nic.link.injected) == (0, 0)
 
+    @pytest.mark.parametrize("due,now,stamps", [
+        ([0, 10.5, 7], 0, [0, None, None]),
+        ([0, True, 2], 0, [0, None, None]),
+        ([0, 10, 7], 10, [0, 10, None]),
+        ([0.0, 1, 2], 0, [None, None, None]),
+    ], ids=["float", "bool", "decreasing", "first"])
+    def test_invalid_due_entry_rejected(self, due, now, stamps):
+        # 10.5 used to become the device clock and a decreasing entry was
+        # injected late; the frames before the bad entry stay injected
+        _, nic, agent = make(ring_size=16)
+        frames = gen_traffic(3, 64, 5)
+        with pytest.raises(ValueError, match=r"due\["):
+            forward_trace(agent, frames, identity(), due=due)
+        assert nic.now == now
+        assert [f.inject_time for f in frames] == stamps
+        assert nic.link.injected == len(stamps) - stamps.count(None)
+
     def test_buffer_set_is_fixed(self):
         _, nic, agent = make(ring_size=64)
         before = [id(b) for b in agent.buffers]
@@ -472,6 +489,83 @@ class TestStalledPipeline:
         agent.transmit([64, 64])
         with pytest.raises(PipelineStalled):
             agent.finish()
+
+
+def assert_frames_accounted(link):
+    assert link.injected == link.rx_delivered + link.rx_dropped + len(link.rx_pending)
+
+
+class TestFaultInjection:
+    """A fault injected into a running pipeline ends in a typed error at a
+    fixed step, not a hang, and every injected frame stays accounted for."""
+
+    def lost_writeback(self):
+        # queue 1's head write-back goes nowhere, so the agent never sees
+        # that queue retire anything and cannot recycle
+        _, nic, agent = make(ring_size=8, num_outputs=2)
+        nic.reg_write("TDWBA", 0, 1)
+        return nic, agent
+
+    def test_lost_writeback_flow_controlled(self):
+        nic, agent = self.lost_writeback()
+        with pytest.raises(PipelineStalled, match="step 24:"):
+            forward_trace(agent, gen_traffic(32, 64, 1), identity())
+        assert agent.processed == 7
+        assert_frames_accounted(nic.link)
+
+    def test_lost_writeback_timed(self):
+        nic, agent = self.lost_writeback()
+        with pytest.raises(PipelineStalled, match="step 393:"):
+            forward_trace(agent, gen_traffic(40, 64, 1), identity(),
+                          due=[10 * k for k in range(40)], deadline=400)
+        assert agent.processed == 7
+        assert_frames_accounted(nic.link)
+
+    def test_lost_writeback_run(self):
+        nic, agent = self.lost_writeback()
+        for f in gen_traffic(3, 64, 1):
+            nic.inject_rx(f)
+        with pytest.raises(PipelineStalled, match="step 10:"):
+            agent.run(identity(), max_packets=3)
+        assert agent.processed == 3
+        assert_frames_accounted(nic.link)
+
+    @pytest.mark.parametrize("timed", [False, True], ids=["flow", "timed"])
+    def test_receive_buffer_past_arena(self, timed):
+        env, nic, agent = make(ring_size=8)
+        slot3 = nic.reg_read("RDBA") + 3 * DESC_BYTES
+        U64.pack_into(env.dma, slot3, env.arena_size + 100)
+        frames = gen_traffic(8, 64, 2)
+        due = list(range(8)) if timed else None
+        with pytest.raises(TranslationFault, match="receive slot 3"):
+            forward_trace(agent, frames, identity(), due=due, deadline=100 if timed else None)
+        link = nic.link
+        assert link.rx_delivered == 3
+        assert link.rx_pending[0] is frames[3]
+        assert_frames_accounted(link)
+
+
+# Distinct payload objects emitted when flow-controlled identity forwards
+# 200 frames each of 64, 576 and 1500 bytes, per (ring, outputs, budget).
+# Mirrored completions of one buffer within one device step share a payload,
+# which the spec device cannot see. A change to the service loop may lower a
+# count but not raise it: a rise means mirrored outputs stopped sharing.
+SHARED_PAYLOADS = {(64, 4, 5): 605, (64, 4, 3): 1200, (8, 2, 3): 750,
+                   (256, 3, 4): 604, (16, 4, 1): 2400}
+
+
+@pytest.mark.parametrize("ring,outputs,budget", sorted(SHARED_PAYLOADS))
+def test_mirrored_payloads_shared(ring, outputs, budget):
+    _, nic, agent = make(ring, outputs)
+    frames = [f for size in (64, 576, 1500) for f in gen_traffic(200, size, size)]
+    forward_trace(agent, frames, identity(), budget)
+    sent = [f.payload for f in frames]
+    payloads = []
+    for q in range(outputs):
+        out = [f.payload for f in nic.drain_tx(q)]
+        assert out == sent
+        payloads += out
+    assert len({id(p) for p in payloads}) <= SHARED_PAYLOADS[ring, outputs, budget]
 
 
 # sha256 of emission_digest's record for each injection mode. Any change to

@@ -454,6 +454,20 @@ class TestStepping:
         assert nic.reg_read("TDH", 0) == 1
         assert nic.reg_read("RDH") == 1
 
+    def test_disabled_receive_ring_leaves_the_wire(self):
+        # a stopped receive ring neither delivers nor drops; the frame waits
+        env = MemEnv()
+        nic = Nic(env)
+        rx_ring(env, nic)
+        tx_ring(env, nic)
+        nic.reg_write("RXEN", 0)
+        frame = Frame(b"w" * 64)
+        nic.inject_rx(frame)
+        assert nic.step_device(4) == 0
+        assert list(nic.link.rx_pending) == [frame]
+        assert (nic.link.rx_delivered, nic.link.rx_dropped) == (0, 0)
+        assert nic.reg_read("RDH") == 0
+
     def test_step_stops_when_idle(self):
         env = MemEnv()
         nic = Nic(env)
