@@ -57,7 +57,9 @@ next frame enters once the wire is clear and a receive slot is free) or
 timed (frame k enters at step due[k], which is how the bench offers load).
 Agent.run is the same loop over frames already on the wire. A pipeline
 that can no longer move, such as one with a stopped transmit queue, raises
-PipelineStalled instead of spinning. build_pipeline makes the memory
+PipelineStalled instead of spinning; its message names each queue whose
+head write-back lags processed, and whether that queue is stopped or its
+write-back was lost. build_pipeline makes the memory
 environment, device and agent that every caller of the loop needs.
 """
 
@@ -161,8 +163,10 @@ class Agent:
 
         Returns None while no packet is waiting. A returned packet is
         outstanding until transmit() files it; receiving again before that
-        is a protocol violation. For processing by hand; perfbench's tracer
-        wraps it by name.
+        is a protocol violation. A done descriptor whose length exceeds
+        MAX_FRAME raises ValueError naming the slot and the length, and
+        leaves nothing outstanding. For processing by hand; perfbench's
+        tracer wraps it by name.
         """
         if self._inflight:
             raise ProtocolViolation("previous packet was never transmitted")
@@ -170,8 +174,11 @@ class Agent:
         meta = self._u64[self._rx_meta + 2 * slot]
         if not meta & META_DD:
             return None
+        n = meta & META_LEN_MASK
+        if n > MAX_FRAME:
+            _reject_length(slot, n)
         self._inflight = True
-        return self.buffers[slot], meta & META_LEN_MASK
+        return self.buffers[slot], n
 
     def transmit(self, lengths: Sequence[int]) -> None:
         """File the outstanding packet on every output; length 0 skips one.
@@ -267,7 +274,9 @@ class Agent:
         """One receive attempt; process and file the packet if one is waiting.
 
         receive() and transmit() in one call, with the same ProtocolViolation
-        rules: if the processor raises, the packet stays outstanding.
+        rules: if the processor raises, the packet stays outstanding. A
+        received length above MAX_FRAME raises ValueError, as in receive(),
+        before the processor runs.
 
         An empty poll does the deferred housekeeping instead (publish any
         ragged batch, recycle), which keeps the pipeline live when traffic
@@ -281,9 +290,31 @@ class Agent:
             self._flush()
             self.recycle()
             return False
+        n = meta & META_LEN_MASK
+        if n > MAX_FRAME:
+            _reject_length(slot, n)
         self._inflight = True
-        self._file(processor(self.buffers[slot], meta & META_LEN_MASK, self.num_outputs))
+        self._file(processor(self.buffers[slot], n, self.num_outputs))
         return True
+
+    def _lagging(self) -> str:
+        """Each transmit queue whose head write-back lags processed, and why.
+
+        Only a stalled pipeline asks. A queue whose device head has reached
+        its tail retired everything, so its head write-back was lost; one
+        whose device head has not is stopped.
+        """
+        p = self.processed & self._mask
+        nic = self.nic
+        lags = []
+        for q, h in enumerate(self._heads):
+            if h != p:
+                state = ("has reached its tail (a lost head write-back)"
+                         if nic.reg_read("TDH", q) == nic.reg_read("TDT", q)
+                         else "has not reached its tail (a stopped queue)")
+                lags.append(f"queue {q}'s head write-back reads slot {h}, not slot {p} "
+                            f"(processed {self.processed}), and its device head {state}")
+        return "; ".join(lags) or "no transmit queue's head write-back lags processed"
 
     def quiescent(self) -> bool:
         """True when nothing is outstanding and every queue's head write-back
@@ -294,7 +325,10 @@ class Agent:
         """Publish everything still pending and step the device until it drains.
 
         Raises PipelineStalled if a step retires nothing first: without
-        software action no later step could retire anything either. Raises
+        software action no later step could retire anything either. The
+        message names each queue whose head write-back lags processed and
+        says whether its device head has reached its tail (the write-back
+        was lost) or not (the queue is stopped). Raises
         ValueError, before publishing anything, for a device_budget that is
         not an integer of at least 1.
         """
@@ -303,8 +337,8 @@ class Agent:
         nic = self.nic
         while not self.quiescent():
             if not nic.step_device(device_budget):
-                raise PipelineStalled(f"step {nic.now}: submitted packets can never drain "
-                                      f"(is a transmit queue stopped?)")
+                raise PipelineStalled(f"step {nic.now}: submitted packets can never drain: "
+                                      f"{self._lagging()}")
         self.recycle()
 
     def run(self, processor: Processor, max_packets: int, device_budget: int = 1) -> int:
@@ -334,6 +368,11 @@ def build_pipeline(ring_size: int, num_outputs: int = 1,
     env = MemEnv(arena_size=need + (3 + num_outputs) * DEFAULT_PAGE_SIZE)
     nic = Nic(env, num_outputs)
     return env, nic, Agent(env, nic, ring_size, num_outputs, flush_period, recycle_period)
+
+
+def _reject_length(slot: int, n: int) -> None:
+    raise ValueError(f"receive slot {slot}: the device reports length {n}, above "
+                     f"MAX_FRAME ({MAX_FRAME})")
 
 
 def _reject_due(due: Sequence[int], k: int) -> None:
@@ -381,7 +420,8 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     nothing and the poll finds nothing also leave every later step
     unchanged, as when a stopped transmit queue holds packets back: the
     loop then jumps to the next due frame the same way, or raises
-    PipelineStalled when no frame can enter.
+    PipelineStalled when no frame can enter, naming the lagging queues as
+    finish() does.
 
     Raises ValueError, before anything is injected, for a device_budget
     that is not an integer of at least 1, a deadline or max_packets that is
@@ -442,8 +482,8 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
             continue
         elif due is None or k == n:
             raise PipelineStalled(f"step {nic.now}: nothing can move with {agent.processed} "
-                                  f"packets processed and {n - k} frames not injected "
-                                  f"(is a queue stopped?)")
+                                  f"packets processed and {n - k} frames not injected: "
+                                  f"{agent._lagging()}")
         # nothing can move until a frame enters; a flow-controlled one enters next step
         if due is not None:
             nic.now = due[k] if deadline is None else min(due[k], deadline)

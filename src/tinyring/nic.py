@@ -47,6 +47,14 @@ native order is the wire's little-endian order because this module refuses
 to import on a big-endian host. Buffer payloads stay byte slices, and
 encode_descriptor/decode_descriptor keep their explicit little-endian
 layout.
+
+Each ring's geometry is cached when the ring is enabled: the word index of
+slot 0's metadata word, (base >> 3) + 1, and the slot mask, length - 1.
+The device serves slot i from metadata word meta0 + 2 * i, and reads the
+address word below it only for a transmit that emits (a non-zero length)
+and for a receive. The cache cannot go stale: base and length are
+device-owned while the ring is enabled, so the only way to change them is
+to disable the ring, and enabling it again recomputes both.
 """
 
 from __future__ import annotations
@@ -168,12 +176,19 @@ class Link:
 
 
 class _Ring:
-    """Register state of one descriptor ring; enabled is 0 or 1."""
+    """Register state of one descriptor ring; enabled is 0 or 1.
 
-    __slots__ = ("base", "length", "head", "tail", "enabled", "wb", "name")
+    meta0 (the word index of slot 0's metadata word; slot i's is 2 * i
+    further) and mask (length - 1) are the geometry the device serves the
+    ring by. reg_write sets both when it enables the ring, and base and
+    length cannot change while it is enabled.
+    """
+
+    __slots__ = ("base", "length", "head", "tail", "enabled", "wb", "name", "meta0", "mask")
 
     def __init__(self, name: str) -> None:
         self.base = self.length = self.head = self.tail = self.enabled = self.wb = 0
+        self.meta0 = self.mask = 0
         self.name = name  # for error messages: "receive ring", "transmit ring 1"
 
     def write_tail(self, value: int) -> None:
@@ -195,18 +210,21 @@ class Nic:
         self.num_tx_queues = num_tx_queues
         self.now = 0
         self.link = Link(num_tx_queues)
-        self._rx = _Ring("receive ring")
-        self._tx = [_Ring(f"transmit ring {q}") for q in range(num_tx_queues)]
+        # one ring per service class: class 0 is the receive ring, 1 + q transmit ring q
+        self._rings = (_Ring("receive ring"),
+                       *(_Ring(f"transmit ring {q}") for q in range(num_tx_queues)))
         # (register name, queue) -> (ring, field): the whole register file
         self._regs: dict[tuple[str, int], tuple[_Ring, str]] = {
-            (reg, 0): (self._rx, field) for reg, field in (
+            (reg, 0): (self._rings[0], field) for reg, field in (
                 ("RDBA", "base"), ("RDLEN", "length"), ("RDH", "head"),
                 ("RDT", "tail"), ("RXEN", "enabled"))}
-        for q, ring in enumerate(self._tx):
+        for q, ring in enumerate(self._rings[1:]):
             for reg, field in (("TDBA", "base"), ("TDLEN", "length"), ("TDH", "head"),
                                ("TDT", "tail"), ("TXEN", "enabled"), ("TDWBA", "wb")):
                 self._regs[reg, q] = (ring, field)
-        # round-robin cursor over service classes: 0 is RX, 1 + q is TX q
+        # round-robin cursor over the service classes, and the class after each one
+        self._classes = 1 + num_tx_queues
+        self._succ = (*range(1, self._classes), 0)
         self._rr = 0
 
     # -- register file ----------------------------------------------------
@@ -236,6 +254,8 @@ class Nic:
         if field == "enabled":
             if value:
                 self._validate_ring(ring)
+                ring.meta0 = (ring.base >> 3) + 1
+                ring.mask = ring.length - 1
                 value = 1
         elif field == "wb":
             if value and (value % 4 or value + 4 > len(self._mem)):
@@ -319,8 +339,9 @@ class Nic:
         completion. Payloads are immutable bytes, so callers cannot tell a
         shared one from a fresh copy.
         """
-        rx, txs = self._rx, self._tx
-        if not rx.enabled and not any(t.enabled for t in txs):
+        rings = self._rings
+        rx = rings[0]
+        if not rx.enabled and not any(ring.enabled for ring in rings):
             raise NotReadyError("device is not enabled")
         now = self.now = self.now + 1
         link = self.link
@@ -328,87 +349,86 @@ class Nic:
         stamps = link.buffer_meta
         emitted = link.tx_emitted
         mem, u64 = self._mem, self._u64
-        classes = 1 + self.num_tx_queues
+        classes, succ = self._classes, self._succ
         c = self._rr  # class 0 is RX, 1 + q is TX q
         # shared is the last payload copied this step and [lo, hi) the range
         # it was copied from; hi == -1 means there is no copy to share.
         lo = hi = -1
-        done = passed = 0  # passed: idle classes visited since the last served one
+        # passed counts the idle classes visited since the last served one.
+        # Once it reaches classes, a full idle lap has brought the cursor back
+        # to the class the lap began on; that class was idle then and nothing
+        # has changed since, so the step ends there, with the cursor on it.
+        done = passed = 0
         try:
             while done < max_work:
                 if c:
-                    ring = txs[c - 1]
-                    work = ring.head != ring.tail and ring.enabled
-                else:
-                    work = wire and rx.enabled
-                if not work:
-                    # move on; a full lap of idle classes ends the step with
-                    # the cursor back on the class it started from
-                    c += 1
-                    if c == classes:
-                        c = 0
-                    passed += 1
-                    if passed == classes:
-                        break
-                    continue
-                passed = 0
-                if c:
+                    ring = rings[c]
                     slot = ring.head
-                    daddr = ring.base + slot * DESC_BYTES
-                    di = daddr >> 3
-                    baddr = u64[di]
-                    meta = u64[di + 1]
-                    length = meta & META_LEN_MASK
-                    if length:
-                        end = baddr + length
-                        if baddr != lo or end != hi:
-                            shared = mem[baddr:end].tobytes()
-                            if len(shared) != length:  # the slice stopped at the arena's end
-                                raise TranslationFault(f"transmit queue {c - 1} slot {slot}: "
-                                                       f"buffer {baddr:#x}+{length} lies "
-                                                       f"outside the DMA arena")
-                            lo, hi = baddr, end
-                        inject_time, order = stamps.get(baddr, (None, None))
-                        emitted[c - 1].append(Frame(shared, inject_time, now, order))
-                    u64[di + 1] = meta | META_DD
-                    if lo < daddr + 16 and daddr + 8 < hi:
-                        hi = -1
-                    slot = (slot + 1) & (ring.length - 1)
-                    ring.head = slot
-                    if meta & META_RS and ring.wb:
-                        wb = ring.wb
-                        self._u32[wb >> 2] = slot
-                        if wb < hi and lo < wb + 4:
+                    if slot != ring.tail and ring.enabled:
+                        mi = ring.meta0 + 2 * slot  # metadata word; mi - 1 is the address
+                        meta = u64[mi]
+                        length = meta & META_LEN_MASK
+                        if length:
+                            baddr = u64[mi - 1]
+                            end = baddr + length
+                            if baddr != lo or end != hi:
+                                shared = mem[baddr:end].tobytes()
+                                if len(shared) != length:  # the slice stopped at the arena's end
+                                    raise TranslationFault(f"transmit queue {c - 1} slot {slot}: "
+                                                           f"buffer {baddr:#x}+{length} lies "
+                                                           f"outside the DMA arena")
+                                lo, hi = baddr, end
+                            inject_time, order = stamps.get(baddr, (None, None))
+                            emitted[c - 1].append(Frame(shared, inject_time, now, order))
+                        u64[mi] = meta | META_DD
+                        if 8 * mi < hi and lo < 8 * mi + 8:
                             hi = -1
-                else:
-                    frame = wire.popleft()
-                    slot = rx.head
-                    if slot == rx.tail:
-                        # no device-owned descriptor: the wire does not wait
-                        link.rx_dropped += 1
+                        slot = (slot + 1) & ring.mask
+                        ring.head = slot
+                        if meta & META_RS and ring.wb:
+                            wb = ring.wb
+                            self._u32[wb >> 2] = slot
+                            if wb < hi and lo < wb + 4:
+                                hi = -1
+                        done += 1
+                        passed = 0
+                    elif passed == classes:
+                        break
                     else:
-                        daddr = rx.base + slot * DESC_BYTES
-                        di = daddr >> 3
-                        baddr = u64[di]
-                        payload = frame.payload
-                        n = len(payload)
-                        try:
-                            mem[baddr:baddr + n] = payload
-                        except ValueError:  # the slice stopped at the arena's end
-                            wire.appendleft(frame)
-                            raise TranslationFault(f"receive slot {slot}: buffer "
-                                                   f"{baddr:#x}+{n} lies outside the "
-                                                   f"DMA arena") from None
-                        # payload first, then the whole metadata word: the publish order
-                        u64[di + 1] = n | META_EOP | META_DD
-                        hi = -1
-                        rx.head = (slot + 1) & (rx.length - 1)
-                        link.rx_delivered += 1
-                        stamps[baddr] = (frame.inject_time, frame.order)
-                c += 1
-                if c == classes:
-                    c = 0
-                done += 1
+                        passed += 1
+                    c = succ[c]
+                else:
+                    if wire and rx.enabled:
+                        frame = wire.popleft()
+                        slot = rx.head
+                        if slot == rx.tail:
+                            # no device-owned descriptor: the wire does not wait
+                            link.rx_dropped += 1
+                        else:
+                            mi = rx.meta0 + 2 * slot
+                            baddr = u64[mi - 1]
+                            payload = frame.payload
+                            n = len(payload)
+                            try:
+                                mem[baddr:baddr + n] = payload
+                            except ValueError:  # the slice stopped at the arena's end
+                                wire.appendleft(frame)
+                                raise TranslationFault(f"receive slot {slot}: buffer "
+                                                       f"{baddr:#x}+{n} lies outside the "
+                                                       f"DMA arena") from None
+                            # payload first, then the whole metadata word: the publish order
+                            u64[mi] = n | META_EOP | META_DD
+                            hi = -1
+                            rx.head = (slot + 1) & rx.mask
+                            link.rx_delivered += 1
+                            stamps[baddr] = (frame.inject_time, frame.order)
+                        done += 1
+                        passed = 0
+                    elif passed == classes:
+                        break
+                    else:
+                        passed += 1
+                    c = 1
         finally:
             self._rr = c
         return done

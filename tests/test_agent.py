@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
-from tinyring import (DESC_BYTES, META_DD, META_RS, Agent, Frame, MemEnv, Nic,
-                      PipelineStalled, ProtocolViolation, TranslationFault,
-                      build_pipeline, forward_trace, gen_traffic, identity,
-                      macswap, ownership, policer, ref_init, service_rate)
+from tinyring import (DESC_BYTES, MAX_FRAME, META_DD, META_EOP, META_RS, Agent,
+                      Frame, MemEnv, Nic, PipelineStalled, ProtocolViolation,
+                      TranslationFault, build_pipeline, forward_trace, gen_traffic,
+                      identity, macswap, ownership, policer, ref_init, service_rate)
 
 U64 = struct.Struct("<Q")
 
@@ -193,6 +193,32 @@ class TestRingProtocol:
             agent.poll(identity())
         agent.transmit([64, 64])
         assert agent.processed == 1
+
+    @pytest.mark.parametrize("call", ["poll", "receive"])
+    def test_received_length_above_max_frame_blames_the_descriptor(self, call):
+        # a corrupt receive metadata word: done, with a length above MAX_FRAME;
+        # a processor that skips the packet used to pass it silently
+        env, nic, agent = make(num_outputs=2, flush_period=1)
+        nic.inject_rx(Frame(b"a" * 64))
+        nic.inject_rx(Frame(b"b" * 64))
+        nic.step_device(2)
+        assert agent.poll(identity())
+        U64.pack_into(env.dma, nic.reg_read("RDBA") + DESC_BYTES + 8,
+                      (MAX_FRAME + 1) | META_EOP | META_DD)
+        seen = []
+
+        def skip(buf, length, num_outputs):
+            seen.append(length)
+            return [0] * num_outputs
+
+        message = r"^receive slot 1: the device reports length 2049, above MAX_FRAME \(2048\)$"
+        with pytest.raises(ValueError, match=message):
+            agent.poll(skip) if call == "poll" else agent.receive()
+        assert seen == []
+        assert agent.processed == 1
+        # nothing was left outstanding: the next poll blames the descriptor again
+        with pytest.raises(ValueError, match=message):
+            agent.poll(skip)
 
     def test_forward_one(self):
         _, nic, agent = make(flush_period=1)
@@ -457,6 +483,15 @@ class TestFlowControlledForwarding:
         assert len(tails) == 1
 
 
+# the end of what PipelineStalled says when queue 1 alone lags processed,
+# stopped or with its head write-back lost
+QUEUE_1_LAGS = r": queue 1's head write-back reads slot \d, not slot \d \(processed \d+\), "
+QUEUE_1_STOPPED = (QUEUE_1_LAGS
+                   + r"and its device head has not reached its tail \(a stopped queue\)$")
+QUEUE_1_LOST = (QUEUE_1_LAGS
+                + r"and its device head has reached its tail \(a lost head write-back\)$")
+
+
 class TestStalledPipeline:
     """A stopped transmit queue blocks recycling: the drivers must say so."""
 
@@ -467,12 +502,12 @@ class TestStalledPipeline:
 
     def test_flow_controlled(self):
         _, agent = self.stopped()
-        with pytest.raises(PipelineStalled):
+        with pytest.raises(PipelineStalled, match=QUEUE_1_STOPPED):
             forward_trace(agent, gen_traffic(32, 64, 1), identity())
 
     def test_timed(self):
         _, agent = self.stopped()
-        with pytest.raises(PipelineStalled):
+        with pytest.raises(PipelineStalled, match=QUEUE_1_STOPPED):
             forward_trace(agent, gen_traffic(32, 64, 1), identity(),
                           due=[10 * k for k in range(32)], deadline=400)
 
@@ -480,14 +515,14 @@ class TestStalledPipeline:
         nic, agent = self.stopped()
         for f in gen_traffic(32, 64, 1):
             nic.inject_rx(f)
-        with pytest.raises(PipelineStalled):
+        with pytest.raises(PipelineStalled, match=QUEUE_1_STOPPED):
             agent.run(identity(), max_packets=32)
 
     def test_finish(self):
         nic, agent = self.stopped()
         feed_one(nic, agent, b"s" * 64)
         agent.transmit([64, 64])
-        with pytest.raises(PipelineStalled):
+        with pytest.raises(PipelineStalled, match=QUEUE_1_STOPPED):
             agent.finish()
 
 
@@ -508,14 +543,14 @@ class TestFaultInjection:
 
     def test_lost_writeback_flow_controlled(self):
         nic, agent = self.lost_writeback()
-        with pytest.raises(PipelineStalled, match="step 24:"):
+        with pytest.raises(PipelineStalled, match=f"step 24: .*{QUEUE_1_LOST}"):
             forward_trace(agent, gen_traffic(32, 64, 1), identity())
         assert agent.processed == 7
         assert_frames_accounted(nic.link)
 
     def test_lost_writeback_timed(self):
         nic, agent = self.lost_writeback()
-        with pytest.raises(PipelineStalled, match="step 393:"):
+        with pytest.raises(PipelineStalled, match=f"step 393: .*{QUEUE_1_LOST}"):
             forward_trace(agent, gen_traffic(40, 64, 1), identity(),
                           due=[10 * k for k in range(40)], deadline=400)
         assert agent.processed == 7
@@ -525,7 +560,7 @@ class TestFaultInjection:
         nic, agent = self.lost_writeback()
         for f in gen_traffic(3, 64, 1):
             nic.inject_rx(f)
-        with pytest.raises(PipelineStalled, match="step 10:"):
+        with pytest.raises(PipelineStalled, match=f"step 10: .*{QUEUE_1_LOST}"):
             agent.run(identity(), max_packets=3)
         assert agent.processed == 3
         assert_frames_accounted(nic.link)

@@ -409,6 +409,55 @@ class TestStepping:
         assert nic.reg_read("TDH", 0) == 1
         assert U64.unpack_from(env.dma, ring.phys_base + 8)[0] & META_DD
 
+    def test_tx_zero_length_skip_ignores_the_address_word(self):
+        # nothing is emitted, so the buffer address is never used: one far
+        # outside the arena retires without a fault
+        env = MemEnv()
+        nic = Nic(env)
+        ring, _, shadow = tx_ring(env, nic, wba=True)
+        U64.pack_into(env.dma, ring.phys_base, 2**64 - 16)
+        U64.pack_into(env.dma, ring.phys_base + 8, META_RS)
+        nic.reg_write("TDT", 1, 0)
+        assert nic.step_device(4) == 1
+        assert nic.drain_tx(0) == []
+        assert nic.reg_read("TDH", 0) == 1
+        assert U64.unpack_from(env.dma, ring.phys_base + 8)[0] == META_RS | META_DD
+        assert U32.unpack_from(env.dma, shadow.phys_base)[0] == 1
+
+    def test_reenabled_ring_is_served_at_its_new_base_and_length(self):
+        # the device caches a ring's slot-0 word index and slot mask when the
+        # ring is enabled; a queue disabled, moved and enabled again must be
+        # served from where it now lies, wrapping at its new length
+        env = MemEnv()
+        nic = Nic(env)
+        old, bufs, _ = tx_ring(env, nic, size=8)
+        env.dma[bufs.phys_base:bufs.phys_base + 16] = b"o" * 16
+        for i in range(8):
+            U64.pack_into(env.dma, old.phys_base + i * DESC_BYTES, bufs.phys_base)
+            U64.pack_into(env.dma, old.phys_base + i * DESC_BYTES + 8, 16)
+        nic.reg_write("TDT", 1, 0)
+        nic.step_device(4)
+        assert [f.payload for f in nic.drain_tx(0)] == [b"o" * 16]
+        new = env.allocate_dma(4 * DESC_BYTES)
+        for i in range(4):
+            addr = bufs.phys_base + (1 + i) * MAX_FRAME
+            env.dma[addr:addr + 8] = bytes([i]) * 8
+            U64.pack_into(env.dma, new.phys_base + i * DESC_BYTES, addr)
+            U64.pack_into(env.dma, new.phys_base + i * DESC_BYTES + 8, 8)
+        nic.reg_write("TXEN", 0, 0)
+        nic.reg_write("TDBA", new.phys_base, 0)
+        nic.reg_write("TDLEN", 4, 0)
+        nic.reg_write("TDH", 2, 0)
+        nic.reg_write("TDT", 1, 0)
+        nic.reg_write("TXEN", 1, 0)
+        assert nic.step_device(8) == 3
+        assert [f.payload for f in nic.drain_tx(0)] == [bytes([i]) * 8 for i in (2, 3, 0)]
+        assert nic.reg_read("TDH", 0) == 1
+        done = [U64.unpack_from(env.dma, new.phys_base + i * DESC_BYTES + 8)[0] & META_DD
+                for i in range(4)]
+        assert done == [META_DD, 0, META_DD, META_DD]
+        assert U64.unpack_from(env.dma, old.phys_base + DESC_BYTES + 8)[0] == 16
+
     def test_tx_head_writeback_on_rs(self):
         env = MemEnv()
         nic = Nic(env)

@@ -6,7 +6,10 @@ the next class with work is found by a plain round-robin scan, every
 completion copies its payload afresh, arena bounds are checked explicitly
 and RS writes the new head back. One random program of register writes,
 hand-written descriptors, raw memory writes, injections and device steps
-drives both, and everything observable is compared after every step.
+drives both, and everything observable is compared after every step. The
+register writes also move disabled rings to a new base and length, so the
+geometry the device caches when a ring is enabled is checked against a
+spec that reads the registers afresh at every completion.
 
 Hypothesis draws only the program's seed. Drawing the operations through
 strategies gave runs of near-identical programs, which reached the
@@ -126,6 +129,20 @@ class SpecDevice:
 COLLIDING = [0, 128, 136, 512, 520, 768, 1024]
 OUTSIDE = [ARENA - 64, ARENA - 8, ARENA + 8, 2**64 - 16]
 WB_WORDS = [0, 136, 140, 264, 512, 516, 524, 1024, 522, ARENA - 4, ARENA]
+# Where a disabled ring may be moved: onto its own or another ring's
+# descriptors, into buffer space, and now and then somewhere the enable must
+# reject (misaligned, or too close to the arena's end for the ring).
+RING_BASES = [0, 128, 256, 384, 640, 896]
+BAD_BASES = [8, ARENA - 16, ARENA + 16]
+BAD_LENGTHS = [0, 1, 3, 6, 2**17]
+
+
+def ring_base(rng):
+    return rng.choice(BAD_BASES) if rng.random() < 0.1 else rng.choice(RING_BASES)
+
+
+def ring_length(rng):
+    return rng.choice(BAD_LENGTHS) if rng.random() < 0.1 else rng.choice([2, 4, 8])
 
 
 def address(rng):
@@ -230,19 +247,36 @@ def test_step_device_matches_spec(seed):
             assert outcome(nic.step_device, budget) == outcome(spec.step, budget)
             assert_same(env, nic, spec)
         elif op == "publish":  # hand the device up to 7 more descriptors
-            tail = (spec.regs[prefix + "DT", queue] + rng.randint(1, 7)) % length
+            # a disabled ring may hold length 0; the device then rejects any tail
+            tail = (spec.regs[prefix + "DT", queue] + rng.randint(1, 7)) % max(length, 1)
             register(nic, spec, prefix + "DT", tail, queue)
         elif op == "tail":
             register(nic, spec, prefix + "DT", rng.randrange(8), queue)
         elif op == "register":
-            name = rng.choice(["DH", "XEN", "DWBA"] if ring else ["DH", "XEN"])
-            value = rng.choice(WB_WORDS) if name == "DWBA" else rng.randrange(9)
-            register(nic, spec, prefix + name, value, queue)
-        elif op == "descriptor":
+            name = rng.choice(["DH", "XEN", "DBA", "DLEN"] + (["DWBA"] if ring else []))
+            if name in ("DBA", "DLEN") and rng.random() < 0.5:
+                # move the ring: disable it, rewrite its geometry, enable it again
+                register(nic, spec, prefix + "XEN", 0, queue)
+                register(nic, spec, prefix + "DBA", ring_base(rng), queue)
+                register(nic, spec, prefix + "DLEN", ring_length(rng), queue)
+                register(nic, spec, prefix + "XEN", 1, queue)
+            else:  # one write; DBA, DLEN and DH fault while the ring is enabled
+                if name == "DBA":
+                    value = ring_base(rng)
+                elif name == "DLEN":
+                    value = ring_length(rng)
+                elif name == "DWBA":
+                    value = rng.choice(WB_WORDS)
+                else:
+                    value = rng.randrange(9)
+                register(nic, spec, prefix + name, value, queue)
+        elif op == "descriptor":  # written where the ring lies now
             n = rng.choice([0, 8, 64, rng.randrange(301)])
             raw = encode_descriptor(Descriptor(address(rng), n, eop=True,
                                                rs=rng.random() < 0.5, dd=rng.random() < 0.5))
-            write(env, spec, 128 * ring + rng.randrange(length) * DESC_BYTES, raw)
+            at = spec.regs[prefix + "DBA", queue] + rng.randrange(max(length, 1)) * DESC_BYTES
+            if at + DESC_BYTES <= ARENA:
+                write(env, spec, at, raw)
         elif op == "inject":
             for _ in range(rng.randint(1, 4)):
                 payload = rng.randbytes(rng.randint(1, 300))
