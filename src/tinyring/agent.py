@@ -43,12 +43,18 @@ native-order word views of the arena (see tinyring.nic for why that is
 sound); each ring's first metadata word index is computed once, at
 construction.
 
-receive() and transmit() are the ring protocol split in two. Nothing in
-this package calls them; they stay for processing a packet by hand, for
-filing a packet a raising processor left outstanding, and for perfbench's
-tracer, which wraps both by name. poll() is the same protocol in one call:
-it reads the receive descriptor itself and files the packet through the
-private helper transmit() also uses, so lengths are checked in one place.
+poll() is the whole ring protocol in one call: it reads the receive
+descriptor, runs the processor and files the packet itself, so the only
+Python functions a packet enters in the agent are poll and the processor
+(and _flush or recycle on their grids). receive() and
+transmit() are the same protocol split in two. Nothing in this package
+calls them; they stay for processing a packet by hand, for filing a packet
+a raising processor left outstanding, and for perfbench's tracer, which
+wraps both by name. transmit() files the outstanding packet by polling it
+again with a processor that returns the caller's lengths, so the filing
+code and its checks exist once. That is sound because the device never
+owns the slot at processed (the receive tail never passes
+processed + ring_size - 1), so the done bit receive() saw is still set.
 
 There is one driver loop, forward_trace: inject, step the device, poll,
 in lockstep, skipping the steps in which nothing can happen. Only
@@ -183,42 +189,21 @@ class Agent:
     def transmit(self, lengths: Sequence[int]) -> None:
         """File the outstanding packet on every output; length 0 skips one.
 
+        Polls the outstanding packet again with a processor that returns
+        lengths, so poll() does the filing, with its checks: a rejected
+        length raises ValueError and leaves the packet outstanding. If the
+        packet's receive done bit was cleared by hand since it was received,
+        that poll comes up empty (and does an empty poll's housekeeping), and
+        transmit raises ProtocolViolation with the packet still outstanding.
         For processing by hand and for filing a packet a raising processor
         left outstanding in poll(); perfbench's tracer wraps it by name.
         """
         if not self._inflight:
             raise ProtocolViolation("no packet outstanding")
-        self._file(lengths)
-
-    def _file(self, lengths: Sequence[int]) -> None:
-        """Write the outstanding packet's transmit descriptors and retire it.
-
-        Every length is checked before any descriptor is written, so a
-        rejected packet stays outstanding with nothing half-filed.
-        """
-        if len(lengths) != self.num_outputs:
-            raise ValueError(f"need {self.num_outputs} lengths, got {len(lengths)}")
-        for q, n in enumerate(lengths):
-            if type(n) is not int or not 0 <= n <= MAX_FRAME:
-                raise ValueError(f"output {q}: length {n!r} is not an integer "
-                                 f"in [0, {MAX_FRAME}]")
-        p = self.processed
-        off = 2 * (p & self._mask)
-        u64 = self._u64
-        for meta, n in zip(self._tx_metas, lengths):
-            u64[meta + off] = n | META_EOP
-        # Retire the receive slot now. This is the only place its done bit is
-        # cleared, so a later lap can never mistake this lap's completion for
-        # a fresh delivery when the tail sits right on the slot.
-        u64[self._rx_meta + off] = 0
         self._inflight = False
-        p += 1
-        self.processed = p
-        # recycle points are flush points: the recycle period is a multiple
-        if not p % self.flush_period:
-            self._flush()
-            if not p % self.recycle_period:
-                self.recycle()
+        if not self.poll(lambda buffer, length, outputs: lengths):
+            self._inflight = True
+            raise ProtocolViolation("the outstanding packet's receive done bit was cleared")
 
     def _flush(self) -> None:
         """Publish the unpublished batch, with RS on its last descriptor.
@@ -278,6 +263,12 @@ class Agent:
         received length above MAX_FRAME raises ValueError, as in receive(),
         before the processor runs.
 
+        Filing writes every output's transmit metadata word, then clears the
+        receive done bit, then publishes and recycles on the flush and
+        recycle grids. The length count and every length are checked before
+        any word is written, so a rejected packet stays outstanding with
+        nothing half-filed.
+
         An empty poll does the deferred housekeeping instead (publish any
         ragged batch, recycle), which keeps the pipeline live when traffic
         pauses between flush boundaries.
@@ -285,7 +276,8 @@ class Agent:
         if self._inflight:
             raise ProtocolViolation("previous packet was never transmitted")
         slot = self.processed & self._mask
-        meta = self._u64[self._rx_meta + 2 * slot]
+        rx = self._rx_meta + 2 * slot  # read for the done bit, cleared at filing
+        meta = self._u64[rx]
         if not meta & META_DD:
             self._flush()
             self.recycle()
@@ -294,7 +286,28 @@ class Agent:
         if n > MAX_FRAME:
             _reject_length(slot, n)
         self._inflight = True
-        self._file(processor(self.buffers[slot], n, self.num_outputs))
+        lengths = processor(self.buffers[slot], n, self.num_outputs)
+        if len(lengths) != self.num_outputs:
+            raise ValueError(f"need {self.num_outputs} lengths, got {len(lengths)}")
+        for n in lengths:
+            if type(n) is not int or not 0 <= n <= MAX_FRAME:
+                _reject_output_lengths(lengths)
+        off = 2 * slot
+        u64 = self._u64
+        for meta, n in zip(self._tx_metas, lengths):
+            u64[meta + off] = n | META_EOP
+        # Retire the receive slot now. This is the only place its done bit is
+        # cleared, so a later lap can never mistake this lap's completion for
+        # a fresh delivery when the tail sits right on the slot.
+        u64[rx] = 0
+        self._inflight = False
+        p = self.processed + 1
+        self.processed = p
+        # recycle points are flush points: the recycle period is a multiple
+        if not p % self.flush_period:
+            self._flush()
+            if not p % self.recycle_period:
+                self.recycle()
         return True
 
     def _lagging(self) -> str:
@@ -325,18 +338,29 @@ class Agent:
         """Publish everything still pending and step the device until it drains.
 
         Raises PipelineStalled if a step retires nothing first: without
-        software action no later step could retire anything either. The
-        message names each queue whose head write-back lags processed and
-        says whether its device head has reached its tail (the write-back
-        was lost) or not (the queue is stopped). Raises
+        software action no later step could retire anything either. Raises
+        it too once the device has spent more work units than draining can
+        take, counted when finish starts: one per published transmit
+        descriptor that the head write-back does not show retired, and one
+        per frame on the wire. A device that keeps retiring while no head
+        write-back reaches processed would otherwise be stepped forever.
+        The message names each queue whose head write-back lags processed
+        and says whether its device head has reached its tail (the
+        write-back was lost) or not (the queue is stopped). Raises
         ValueError, before publishing anything, for a device_budget that is
         not an integer of at least 1.
         """
         _check_int(device_budget, "device budget", 1)
         self._flush()
         nic = self.nic
+        p, mask = self.processed, self._mask
+        left = len(nic.link.rx_pending)  # work units a device may still spend
+        for h in self._heads:
+            left += (p - h) & mask
         while not self.quiescent():
-            if not nic.step_device(device_budget):
+            worked = nic.step_device(device_budget)
+            left -= worked
+            if not worked or left < 0:
                 raise PipelineStalled(f"step {nic.now}: submitted packets can never drain: "
                                       f"{self._lagging()}")
         self.recycle()
@@ -373,6 +397,14 @@ def build_pipeline(ring_size: int, num_outputs: int = 1,
 def _reject_length(slot: int, n: int) -> None:
     raise ValueError(f"receive slot {slot}: the device reports length {n}, above "
                      f"MAX_FRAME ({MAX_FRAME})")
+
+
+def _reject_output_lengths(lengths: Sequence[int]) -> None:
+    """Raise for the first bad output length; poll() calls it once it found one."""
+    for q, n in enumerate(lengths):
+        if type(n) is not int or not 0 <= n <= MAX_FRAME:
+            raise ValueError(f"output {q}: length {n!r} is not an integer "
+                             f"in [0, {MAX_FRAME}]")
 
 
 def _reject_due(due: Sequence[int], k: int) -> None:
@@ -421,7 +453,9 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     unchanged, as when a stopped transmit queue holds packets back: the
     loop then jumps to the next due frame the same way, or raises
     PipelineStalled when no frame can enter, naming the lagging queues as
-    finish() does.
+    finish() does. Unlike finish(), the loop puts no bound on the work
+    units a device spends: one that keeps retiring while no head
+    write-back reaches processed keeps it stepping.
 
     Raises ValueError, before anything is injected, for a device_budget
     that is not an integer of at least 1, a deadline or max_packets that is

@@ -78,8 +78,11 @@ def gen_traffic(count: int, size: int, seed: int) -> list[Frame]:
     """Deterministic frames whose first 8 bytes are a little-endian sequence number."""
     _check_int(count, "frame count", 0)
     _check_int(size, "packet size", 12, MAX_FRAME)
-    rng = random.Random(seed)
-    return [Frame(seq.to_bytes(8, "little") + rng.randbytes(size - 8))
+    # one integer per payload: randbytes(n) is getrandbits(8 * n).to_bytes(n, "little"),
+    # so this is seq.to_bytes(8, "little") + randbytes(size - 8) in one conversion
+    draw = random.Random(seed).getrandbits
+    bits = 8 * (size - 8)
+    return [Frame((draw(bits) << 64 | seq).to_bytes(size, "little"))
             for seq in range(count)]
 
 

@@ -320,8 +320,11 @@ class Nic:
 
         A transmit completion emits a Frame carrying the (inject_time,
         order) recorded when its buffer was received and the current step
-        as drain_time; length 0 emits nothing. Retiring an RS descriptor
-        writes the new head to the write-back address, if one is set.
+        as drain_time; length 0 emits nothing. The Frame is built with
+        object.__new__ and one store per field, not Frame(...), because
+        CPython enters a dataclass __init__ through a C call that it cannot
+        inline. Retiring an RS descriptor writes the new head to the
+        write-back address, if one is set.
 
         A descriptor whose buffer runs past the DMA arena raises
         TranslationFault before the device writes or emits anything for
@@ -378,8 +381,12 @@ class Nic:
                                                            f"buffer {baddr:#x}+{length} lies "
                                                            f"outside the DMA arena")
                                 lo, hi = baddr, end
-                            inject_time, order = stamps.get(baddr, (None, None))
-                            emitted[c - 1].append(Frame(shared, inject_time, now, order))
+                            # slot by slot: Frame(...) would enter a dataclass __init__ through a C call
+                            frame = object.__new__(Frame)
+                            frame.payload = shared
+                            frame.inject_time, frame.order = stamps.get(baddr, (None, None))
+                            frame.drain_time = now
+                            emitted[c - 1].append(frame)
                         u64[mi] = meta | META_DD
                         if 8 * mi < hi and lo < 8 * mi + 8:
                             hi = -1

@@ -1,7 +1,9 @@
 """Agent ring protocol: init, alternation, batching, recycling, forwarding."""
 
+import contextlib
 import hashlib
 import random
+import signal
 import struct
 
 import pytest
@@ -181,6 +183,56 @@ class TestRingProtocol:
         nic.step_device(4)
         assert agent.processed == 1
         assert [f.payload for f in nic.drain_tx(0)] == [b"e" * 64]
+
+    @pytest.mark.parametrize("flush, recycle", [(1, 1), (2, 4), (8, 64)])
+    def test_transmit_after_raising_processor_files_what_poll_files(self, flush, recycle):
+        # transmit() files by polling the outstanding packet again; it must
+        # leave the arena, the registers, the link and the counters exactly
+        # as one poll returning the same lengths does, flushes and recycles
+        # included
+        def boom(buf, length, num_outputs):
+            raise RuntimeError("processor failed")
+
+        def run(by_hand):
+            env, nic, agent = make(ring_size=16, num_outputs=2, flush_period=flush,
+                                   recycle_period=recycle)
+            for k in range(12):
+                nic.inject_rx(Frame(bytes([k]) * (64 + k)))
+                nic.step_device(2)
+                lengths = [64 + k, k % 3 * 16]
+                if by_hand:
+                    with pytest.raises(RuntimeError):
+                        agent.poll(boom)
+                    agent.transmit(lengths)
+                else:
+                    assert agent.poll(lambda buf, length, num_outputs: lengths)
+                nic.step_device(1)
+            link = nic.link
+            return (bytes(env.dma),
+                    [nic.reg_read(reg, q) for reg in ("TDH", "TDT") for q in range(2)],
+                    nic.reg_read("RDH"), nic.reg_read("RDT"),
+                    (link.injected, link.rx_delivered, link.rx_dropped),
+                    [[(f.payload, f.inject_time, f.drain_time, f.order) for f in nic.drain_tx(q)]
+                     for q in range(2)],
+                    (agent.processed, agent._published, agent._rdt_unwrapped, agent._inflight))
+
+        got = run(by_hand=True)
+        assert got == run(by_hand=False)
+        assert got[-1][0] == 12
+
+    def test_transmit_after_cleared_done_bit(self):
+        # transmit() relies on the done bit receive() saw; cleared by hand,
+        # it is a protocol violation and the packet stays outstanding
+        env, nic, agent = make(flush_period=1)
+        feed_one(nic, agent, b"c" * 64)
+        U64.pack_into(env.dma, nic.reg_read("RDBA") + 8, 0)
+        with pytest.raises(ProtocolViolation, match="done bit was cleared"):
+            agent.transmit([64])
+        assert agent._inflight
+        assert agent.processed == 0
+        assert U64.unpack_from(env.dma, nic.reg_read("TDBA", 0) + 8)[0] == 0
+        with pytest.raises(ProtocolViolation):
+            agent.receive()
 
     def test_poll_checks_processor_lengths(self):
         env, nic, agent = make(num_outputs=2, flush_period=1)
@@ -526,6 +578,57 @@ class TestStalledPipeline:
             agent.finish()
 
 
+class StuckHeadNic(Nic):
+    """A faulty device whose transmit heads never move: every step retires
+    the same descriptor again, and no head write-back ever changes."""
+
+    def step_device(self, max_work=1):
+        heads = [ring.head for ring in self._rings[1:]]
+        try:
+            return super().step_device(max_work)
+        finally:
+            for ring, head in zip(self._rings[1:], heads):
+                ring.head = head
+
+
+@contextlib.contextmanager
+def alarm(seconds):
+    """Fail with TimeoutError instead of hanging past seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("on_wire", [0, 1])
+def test_finish_bounds_a_device_that_never_drains(on_wire):
+    # two packets published, RS on the second; the device re-retires the
+    # first forever. Zero lengths keep it from emitting, so without the
+    # bound finish() spins in place until the alarm.
+    _, nic, agent = make(ring_size=8)
+    for payload in (b"a" * 64, b"b" * 64):
+        nic.inject_rx(Frame(payload))
+    nic.step_device(2)
+    for _ in range(2):
+        assert agent.poll(lambda buf, length, num_outputs: [0])
+    for _ in range(on_wire):
+        nic.inject_rx(Frame(b"w" * 64))
+    nic.__class__ = StuckHeadNic
+    steps = nic.now
+    with alarm(10), pytest.raises(PipelineStalled,
+                                  match="can never drain: queue 0's head write-back reads "
+                                        "slot 0, not slot 2"):
+        agent.finish()
+    # the bound is the two unretired descriptors and the frames on the wire
+    assert nic.now - steps == 3 + on_wire
+
+
 def assert_frames_accounted(link):
     assert link.injected == link.rx_delivered + link.rx_dropped + len(link.rx_pending)
 
@@ -814,9 +917,10 @@ def test_stalled_timed_trace_runs_every_frame_first():
 
 
 class RingMachine(RuleBasedStateMachine):
-    """Random interleavings of injection, device steps, polls, recycles and
-    finish() on one pipeline, checked against the ring invariants and the
-    reference pipeline after every rule."""
+    """Random interleavings of injection, device steps, polls, packets
+    processed by hand, recycles and finish() on one pipeline, checked
+    against the ring invariants and the reference pipeline after every
+    rule."""
 
     @initialize(ring=st.sampled_from([2, 4, 8, 16, 64]), outputs=st.integers(1, 3),
                 flush=st.sampled_from([1, 2, 4, 8]), laps=st.integers(1, 4),
@@ -852,6 +956,14 @@ class RingMachine(RuleBasedStateMachine):
             # tail once an empty poll has recycled
             at_bound = agent._rdt_unwrapped == agent.processed - 1 + agent.ring_size
             assert agent.quiescent() == at_bound
+
+    @rule()
+    def by_hand(self):
+        # the split protocol: receive, the processor run by the caller, transmit
+        got = self.agent.receive()
+        if got is not None:
+            buffer, length = got
+            self.agent.transmit(self.processor(buffer, length, self.agent.num_outputs))
 
     @rule()
     def recycle(self):
@@ -905,6 +1017,8 @@ class RingMachine(RuleBasedStateMachine):
             assert got == want[:len(got)]
 
 
-RingMachine.TestCase.settings = settings(max_examples=300, stateful_step_count=60,
-                                         deadline=None)
+# three times the profile's example count: 300 in tier-1, 3000 under
+# --hypothesis-profile=deep
+RingMachine.TestCase.settings = settings(max_examples=3 * settings.default.max_examples,
+                                         stateful_step_count=60, deadline=None)
 TestRingMachine = RingMachine.TestCase

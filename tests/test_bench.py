@@ -3,14 +3,15 @@
 import io
 import math
 import pathlib
+import random
 import struct
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tinyring import (CSV_HEADER, DRAIN_ALLOWANCE, SEARCH_GRANULARITY, Agent,
-                      Frame, LoadPointResult, MemEnv, Nic,
+from tinyring import (CSV_HEADER, DRAIN_ALLOWANCE, MAX_FRAME, SEARCH_GRANULARITY,
+                      Agent, Frame, LoadPointResult, MemEnv, Nic,
                       NoSustainableLoad, PcapFormatError, find_max_throughput,
                       gen_traffic, make_processor, parse_pcap, percentile,
                       run_load_point, run_sweep, service_rate, write_csv)
@@ -97,6 +98,18 @@ class TestGenTraffic:
     def test_non_integer_size_rejected(self, size):
         with pytest.raises(ValueError, match="packet size"):
             gen_traffic(1, size, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_payload_is_sequence_number_then_randbytes(self, seed):
+        # gen_traffic builds each payload from one integer; it must be the
+        # byte concatenation it stands for, at every size
+        sizes = range(12, MAX_FRAME + 1)
+        got = [f.payload for size in sizes for f in gen_traffic(2, size, seed)]
+        want = []
+        for size in sizes:
+            rng = random.Random(seed)
+            want += [seq.to_bytes(8, "little") + rng.randbytes(size - 8) for seq in range(2)]
+        assert got == want
 
 
 class TestParsePcap:

@@ -4,6 +4,7 @@ These tests program rings through raw register writes on purpose, without
 the agent, so the device contract is pinned down independently.
 """
 
+import dataclasses
 import os
 import random
 import struct
@@ -396,6 +397,27 @@ class TestStepping:
         assert nic.reg_read("TDH", 0) == 1
         assert U64.unpack_from(env.dma, ring.phys_base + 8)[0] & META_DD
         assert nic.drain_tx(0) == []  # drained
+
+    def test_emitted_frame_sets_every_field(self):
+        # step_device builds emitted frames field by field, not through
+        # Frame(...); a field it left unset would show here
+        env = MemEnv()
+        nic = Nic(env)
+        rx_ring(env, nic)
+        ring, _, _ = tx_ring(env, nic)
+        nic.step_device(1)
+        nic.inject_rx(Frame(b"s" * 64))
+        nic.step_device(1)
+        rx_buffer = U64.unpack_from(env.dma, nic.reg_read("RDBA"))[0]
+        U64.pack_into(env.dma, ring.phys_base, rx_buffer)
+        U64.pack_into(env.dma, ring.phys_base + 8, 64)
+        nic.reg_write("TDT", 1, 0)
+        nic.step_device(1)
+        (out,) = nic.drain_tx(0)
+        values = {f.name: getattr(out, f.name) for f in dataclasses.fields(Frame)}
+        assert values == {"payload": b"s" * 64, "inject_time": 1, "drain_time": 3,
+                          "order": 0}
+        assert out == Frame(**values)
 
     def test_tx_zero_length_skip(self):
         env = MemEnv()
