@@ -329,6 +329,17 @@ class Agent:
                             f"(processed {self.processed}), and its device head {state}")
         return "; ".join(lags) or "no transmit queue's head write-back lags processed"
 
+    def _owed(self) -> int:
+        """The work units a device can still spend before quiescence, with
+        every processed packet published and none outstanding: one per frame
+        on the wire and one per published transmit descriptor that the head
+        write-back does not show retired."""
+        p, mask = self.processed, self._mask
+        left = len(self.nic.link.rx_pending)
+        for h in self._heads:
+            left += (p - h) & mask
+        return left
+
     def quiescent(self) -> bool:
         """True when nothing is outstanding and every queue's head write-back
         has reached processed, which implies every packet was published."""
@@ -353,10 +364,7 @@ class Agent:
         _check_int(device_budget, "device budget", 1)
         self._flush()
         nic = self.nic
-        p, mask = self.processed, self._mask
-        left = len(nic.link.rx_pending)  # work units a device may still spend
-        for h in self._heads:
-            left += (p - h) & mask
+        left = self._owed()
         while not self.quiescent():
             worked = nic.step_device(device_budget)
             left -= worked
@@ -453,9 +461,19 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     unchanged, as when a stopped transmit queue holds packets back: the
     loop then jumps to the next due frame the same way, or raises
     PipelineStalled when no frame can enter, naming the lagging queues as
-    finish() does. Unlike finish(), the loop puts no bound on the work
-    units a device spends: one that keeps retiring while no head
-    write-back reaches processed keeps it stepping.
+    finish() does. When no frame is still to enter on a schedule (due is
+    None, or every frame is injected), the loop also bounds the work units
+    the device spends while processed stands still, with finish()'s
+    figure taken at the first empty poll after processed last moved: that
+    poll published everything, so until processed moves the device can
+    spend one unit per frame then on the wire and one per published
+    descriptor the head write-back does not show retired. A frame that
+    enters later under flow control finds a free receive slot, and the
+    step that receives it is followed by a poll that files it; such steps
+    are not counted. A device that spends more, by retiring while no head
+    write-back reaches processed, raises PipelineStalled with finish()'s
+    message. The count runs only on the steps after an empty poll short of
+    quiescence, so a poll that files a packet pays nothing for it.
 
     Raises ValueError, before anything is injected, for a device_budget
     that is not an integer of at least 1, a deadline or max_packets that is
@@ -486,8 +504,11 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     reach = agent.ring_size - 1  # the receive tail never passes processed + reach
     n = len(frames)
     k = 0
+    nxt = due[0] if due else 0  # with due given, the due step of frame k
     count = 0
     idle = False  # the last step retired nothing and its poll found nothing
+    mark = -1     # processed when the work bound was last set
+    left = 0      # work units the device may still spend before processed moves
     while deadline is None or nic.now < deadline:
         if k < n:
             if due is None:
@@ -496,11 +517,15 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
                     nic.inject_rx(frames[k])
                     k += 1
             else:
-                while k < n and due[k] <= nic.now:
+                while nxt <= nic.now:
                     nic.inject_rx(frames[k])
                     k += 1
-                    if k < n and (type(due[k]) is not int or due[k] < due[k - 1]):
+                    if k == n:
+                        break
+                    d = due[k]
+                    if type(d) is not int or d < nxt:
                         _reject_due(due, k)
+                    nxt = d
         worked = step(device_budget)
         if poll(processor):
             count += 1
@@ -511,15 +536,28 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
         if not wire and agent._rdt_unwrapped == agent.processed + reach:
             if k == n:
                 break
-        elif worked or not idle:  # not the second dead step in a row
-            idle = not worked
-            continue
         elif due is None or k == n:
+            # no frame is still to enter on a schedule: bound the work units
+            # spent while processed stands still
+            if agent.processed != mark:
+                mark = agent.processed
+                left = agent._owed()
+            else:
+                left -= worked
+                if left < 0:
+                    raise PipelineStalled(f"step {nic.now}: submitted packets can never "
+                                          f"drain: {agent._lagging()}")
+            if worked or not idle:  # not the second dead step in a row
+                idle = not worked
+                continue
             raise PipelineStalled(f"step {nic.now}: nothing can move with {agent.processed} "
                                   f"packets processed and {n - k} frames not injected: "
                                   f"{agent._lagging()}")
+        elif worked or not idle:
+            idle = not worked
+            continue
         # nothing can move until a frame enters; a flow-controlled one enters next step
         if due is not None:
-            nic.now = due[k] if deadline is None else min(due[k], deadline)
+            nic.now = nxt if deadline is None else min(nxt, deadline)
         idle = False
     return count

@@ -19,9 +19,16 @@ pipeline up and is excluded from all statistics. Latency is drain step
 minus inject step; percentiles are nearest-rank (the 50th of [1, 2, 3, 4]
 is 2). One deterministic trial per load point; all points share one trace.
 The knee search stops a probe as soon as the frames output 0 could still
-emit before the deadline cannot bring its loss under the bound. The first
-such check needs only the trace length, so a probe that fails it costs no
-set-up: no trace copy, no schedule and no pipeline.
+emit before the deadline cannot bring its loss under the bound. No measured
+frame enters the wire before the due step of the first one, so the bound
+counts only the device steps from then on. The first such check needs only
+the trace length, so a probe that fails it costs no set-up: no schedule and
+no pipeline.
+
+Injection stamps a frame, so a run needs frames of its own. A search or a
+sweep copies a caller's trace once and stamps that one copy in every probe;
+a trace it generated itself is already private and is not copied.
+run_load_point copies the caller's trace for its one run.
 """
 
 from __future__ import annotations
@@ -145,25 +152,43 @@ def run_load_point(offered_load: int, frames: Sequence[Frame], nf: Processor | s
 
     Raises ValueError for an offered_load that is not a positive integer,
     an empty trace or a device_budget that is not an integer of at least 1.
+    The caller's frames are not stamped: the run injects a copy, made once
+    the arguments are checked.
     """
-    result = _probe(offered_load, frames, nf, ring_size, num_outputs, device_budget)
+    result = _probe(offered_load, frames, nf, ring_size, num_outputs, device_budget,
+                    copy=True)
     assert result is not None  # without a loss bound a probe always runs in full
     return result
 
 
-def _probe(offered_load: int, frames: Sequence[Frame], nf: Processor | str,
+def _private(frames: Sequence[Frame]) -> list[Frame]:
+    """Fresh unstamped frames with frames' payloads, for a run to stamp."""
+    return [Frame(f.payload) for f in frames]
+
+
+def _probe(offered_load: int, trace: Sequence[Frame], nf: Processor | str,
            ring_size: int, num_outputs: int, device_budget: int,
-           loss_bound: float | None = None) -> LoadPointResult | None:
+           loss_bound: float | None = None, *, copy: bool = False,
+           ) -> LoadPointResult | None:
     """run_load_point's result, or None once its loss is bound to reach loss_bound.
+
+    Injection stamps the frames of trace, which must therefore belong to
+    the caller's search: every probe of one search stamps the same frames
+    again, which is safe because an emitted frame takes its stamps from
+    the device's per-buffer record and never refers to an injected one.
+    With copy, the probe injects a private copy instead, made after the
+    arguments are checked.
 
     With a loss bound the run goes in _CHECK_INTERVAL-step forward_trace
     segments, each resuming with the frames not yet injected. Before each
     segment it bounds the frames output 0 can still emit before the
     deadline: each emission spends a transmit unit, and every packet but
     the U received and not yet emitted on output 0 also spends a receive
-    unit, so at most ((deadline - now) * device_budget + U) // 2 more
-    frames arrive. When the loss even that leaves is at least loss_bound,
-    the full run would fail, and the probe stops.
+    unit. No measured frame is on the wire before first, the due step of
+    the first measured frame, so no unit spent before first can serve one,
+    and at most ((deadline - max(now, first)) * device_budget + U) // 2
+    more measured frames arrive. When the loss even that leaves is at
+    least loss_bound, the full run would fail, and the probe stops.
 
     The first check, at step 0, needs only the trace length, so it runs
     before any set-up: every argument is checked first, and a probe that
@@ -171,25 +196,26 @@ def _probe(offered_load: int, frames: Sequence[Frame], nf: Processor | str,
     the pipeline.
     """
     _check_int(offered_load, "offered load", 1)
-    if not frames:
+    if not trace:
         raise ValueError("the trace is empty")
     processor = make_processor(nf) if isinstance(nf, str) else nf
     _check_geometry(ring_size, num_outputs)
     _check_int(device_budget, "device budget", 1)
-    n = len(frames)
+    n = len(trace)
     deadline = (n - 1) * 1000 // offered_load + 1 + DRAIN_ALLOWANCE  # the last due step + 1 + ...
     warm = n // WARMUP_FRACTION
     measured = n - warm
+    first = warm * 1000 // offered_load  # the due step of the first measured frame
 
     def doomed(now: int, received: int, emitted: int) -> bool:
         """The bound above, with U = received and emitted measured frames so far."""
-        reachable = ((deadline - now) * device_budget + received) // 2
+        reachable = ((deadline - max(now, first)) * device_budget + received) // 2
         return (measured - emitted - reachable) / measured >= loss_bound
 
     if loss_bound is not None and doomed(0, 0, 0):
         return None
-    # fresh Frame objects: injection stamps them, runs must not alias
-    trace = [Frame(f.payload) for f in frames]
+    if copy:
+        trace = _private(trace)
     due = [k * 1000 // offered_load for k in range(n)]
     _env, nic, agent = build_pipeline(ring_size, num_outputs)
     if loss_bound is None:
@@ -225,11 +251,14 @@ class NoSustainableLoad(ValueError):
     """No load on the search grid keeps loss under the bound."""
 
 
-def _search_max_throughput(frames: Sequence[Frame], nf: Processor | str,
+def _search_max_throughput(trace: Sequence[Frame], nf: Processor | str,
                            ring_size: int, num_outputs: int, loss_bound: float,
                            device_budget: int,
                            ) -> tuple[LoadPointResult, dict[int, LoadPointResult]]:
-    """The knee's result, plus every probe on the way that ran in full, by load."""
+    """The knee's result, plus every probe on the way that ran in full, by load.
+
+    Every probe stamps the frames of trace, which must be the caller's own.
+    """
     if not 0 < loss_bound <= 1:
         raise ValueError(f"loss bound must be in (0, 1], got {loss_bound}")
     _check_int(device_budget, "device budget", 1)
@@ -239,7 +268,7 @@ def _search_max_throughput(frames: Sequence[Frame], nf: Processor | str,
     while lo < hi:
         mid = (lo + hi + 1) // 2
         load = mid * SEARCH_GRANULARITY
-        res = _probe(load, frames, nf, ring_size, num_outputs, device_budget, loss_bound)
+        res = _probe(load, trace, nf, ring_size, num_outputs, device_budget, loss_bound)
         if res is not None:
             measured[load] = res
             if res.loss_fraction < loss_bound:
@@ -262,21 +291,22 @@ def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
     loss stays under the bound.
 
     The trace is frames, or else gen_traffic(trace_length, packet_size, seed).
-    Binary search over the grid up to MAX_LOAD_PER_BUDGET * device_budget.
-    It guarantees that the returned load was measured and passed, and that
-    the next grid load up was shown to fail: a probe stops as soon as its
-    loss can no longer stay under the bound, and a failed probe's row is
-    never reported. The exception is a returned load at the top of the
-    grid. Loss is not always non-decreasing in offered load, so a higher
-    grid load may pass as well: with ("identity", 8, 2) and
-    device_budget=2 the search returns 592, loads 608 and 624 fail, and
-    640 to 672 lose nothing. Raises ValueError unless loss_bound is in
-    (0, 1] and device_budget an integer of at least 1, and
-    NoSustainableLoad when even the lowest grid load loses too much.
+    frames are not stamped: the search copies them once and every probe
+    stamps that copy. Binary search over the grid up to
+    MAX_LOAD_PER_BUDGET * device_budget. It guarantees that the returned
+    load was measured and passed, and that the next grid load up was shown
+    to fail: a probe stops as soon as its loss can no longer stay under the
+    bound, and a failed probe's row is never reported. The exception is a
+    returned load at the top of the grid. Loss is not always non-decreasing
+    in offered load, so a higher grid load may pass as well: with
+    ("identity", 8, 2) and device_budget=2 the search returns 592, loads
+    608 and 624 fail, and 640 to 672 lose nothing. Raises ValueError unless
+    loss_bound is in (0, 1] and device_budget an integer of at least 1,
+    and NoSustainableLoad when even the lowest grid load loses too much.
     """
-    if frames is None:
-        frames = gen_traffic(trace_length, packet_size, seed)
-    return _search_max_throughput(frames, nf, ring_size, num_outputs, loss_bound,
+    trace = (gen_traffic(trace_length, packet_size, seed) if frames is None
+             else _private(frames))
+    return _search_max_throughput(trace, nf, ring_size, num_outputs, loss_bound,
                                   device_budget)[0]
 
 
@@ -287,22 +317,22 @@ def run_sweep(nf: Processor | str, ring_size: int, num_outputs: int, step: int, 
               device_budget: int = DEVICE_BUDGET) -> list[LoadPointResult]:
     """Load points from step up to the discovered maximum, inclusive.
 
-    The trace is chosen as in find_max_throughput. The maximum is appended
-    as a final point when it is not a multiple of the step. Points the
-    search already measured are not run again.
+    The trace is chosen, and a caller's frames copied once, as in
+    find_max_throughput; the further rows run on the same copy. The
+    maximum is appended as a final point when it is not a multiple of the
+    step. Points the search already measured are not run again.
     """
     _check_int(step, "sweep step", 1)
-    if frames is None:
-        frames = gen_traffic(trace_length, packet_size, seed)
-    best, measured = _search_max_throughput(frames, nf, ring_size, num_outputs,
+    trace = (gen_traffic(trace_length, packet_size, seed) if frames is None
+             else _private(frames))
+    best, measured = _search_max_throughput(trace, nf, ring_size, num_outputs,
                                             LOSS_BOUND, device_budget)
     loads = list(range(step, best.offered_load + 1, step))
     if not loads or loads[-1] != best.offered_load:
         loads.append(best.offered_load)
     for load in loads:
         if load not in measured:
-            measured[load] = run_load_point(load, frames, nf, ring_size, num_outputs,
-                                            device_budget=device_budget)
+            measured[load] = _probe(load, trace, nf, ring_size, num_outputs, device_budget)
     return [measured[load] for load in loads]
 
 

@@ -629,6 +629,35 @@ def test_finish_bounds_a_device_that_never_drains(on_wire):
     assert nic.now - steps == 3 + on_wire
 
 
+def zero_lengths(buffer, length, num_outputs):
+    return [0] * num_outputs
+
+
+@pytest.mark.parametrize("count, due, published, owed", [
+    # flow-controlled: both frames processed by step 2; step 3's empty poll
+    # publishes them with nothing to inject, and the device owes 2 units
+    (2, None, 3, 2),
+    # flow-controlled, nine frames on ring 8: no slot frees, so the 8th frame
+    # never enters; step 8's empty poll publishes 7 packets, owing 7 units
+    (9, None, 8, 7),
+    # timed: the first packet's RS write-back reads slot 1 at step 3; the
+    # second frame enters at step 5, and step 7's empty poll publishes it,
+    # owing the one descriptor past the write-back
+    (2, [0, 5], 7, 1),
+])
+def test_forward_trace_bounds_a_device_that_never_drains(count, due, published, owed):
+    # transmit heads never move, so the device re-retires slot 0 forever and
+    # no step is dead; without the bound forward_trace spins until the alarm
+    _, nic, agent = make(ring_size=8)
+    nic.__class__ = StuckHeadNic
+    frames = [Frame(bytes([i]) * 64) for i in range(count)]
+    with alarm(10), pytest.raises(PipelineStalled, match="can never drain: queue 0's "
+                                                         "head write-back reads slot"):
+        forward_trace(agent, frames, zero_lengths, due=due)
+    # the device may spend what it owes after the publishing step, and no more
+    assert nic.now == published + owed + 1
+
+
 def assert_frames_accounted(link):
     assert link.injected == link.rx_delivered + link.rx_dropped + len(link.rx_pending)
 

@@ -229,6 +229,9 @@ class TestRunLoadPoint:
     def test_replay_does_not_mutate_source(self):
         frames = gen_traffic(10, 64, 7)
         run_load_point(100, frames, "identity", 256, 1)
+        # a search and a sweep stamp a copy of their own
+        find_max_throughput("identity", 256, 1, frames=frames)
+        run_sweep("identity", 256, 1, 100, frames=frames)
         assert all(f.inject_time is None for f in frames)
 
     def test_device_step_count(self):
@@ -323,7 +326,8 @@ frame_lists = st.one_of(
     .map(lambda ps: [Frame(p) for p in ps]))
 
 
-@settings(max_examples=150, deadline=None)
+# tier-1 runs 150 examples; --hypothesis-profile=deep scales it with the profile
+@settings(max_examples=settings.default.max_examples * 3 // 2, deadline=None)
 @given(load=st.integers(1, 3000), ring=st.sampled_from([2, 4, 8, 16, 64, 256]),
        outputs=st.integers(1, 4), budget=st.integers(1, 3),
        nf=st.sampled_from(["identity", "macswap", "policer"]), frames=frame_lists,
@@ -334,6 +338,13 @@ frame_lists = st.one_of(
          frames=gen_traffic(65, 578, 7), interval=1)
 @example(load=1145, ring=4, outputs=4, budget=1, nf="identity",
          frames=gen_traffic(36, 467, 2), interval=1)
+# probes that fail at step 0 only because no measured frame enters before
+# the first one's due step: 176 and 171 of 180 measured frames can arrive
+# from it, against 192 and 182 from step 0
+@example(load=620, ring=256, outputs=1, budget=1, nf="identity",
+         frames=gen_traffic(200, 64, 0), interval=256)
+@example(load=1700, ring=16, outputs=3, budget=2, nf="macswap",
+         frames=gen_traffic(200, 300, 4), interval=256)
 def test_early_stop_is_sound(load, ring, outputs, budget, nf, frames, interval):
     # A search probe returns run_load_point's row, or stops early only at a
     # load whose full row fails the bound. A short check interval puts the
@@ -373,7 +384,8 @@ def reference_sweep(frames, nf, ring, outputs, step, budget):
             for load in loads]
 
 
-@settings(max_examples=30, deadline=None)
+# tier-1 runs 30 examples; --hypothesis-profile=deep scales it with the profile
+@settings(max_examples=settings.default.max_examples * 3 // 10, deadline=None)
 @given(data=st.data())
 def test_search_matches_reference_search(data):
     ring = data.draw(st.sampled_from([2, 4, 8, 16]), label="ring")
@@ -479,35 +491,87 @@ class TestFindMax:
 
 class TestProbeSetUp:
     """A knee-search probe that fails its first early-stop check returns
-    before it copies the trace or builds a pipeline, and still checks every
-    argument first."""
+    before it builds a pipeline, and still checks every argument first."""
 
-    FAILS_AT_STEP_0 = 1000  # 2000 frames: at most 1032 of 1800 measured can arrive
+    FAILS_AT_STEP_0 = 1000  # 2000 frames: at most 932 of 1800 measured can arrive
 
-    def test_default_sweep_builds_eight_pipelines(self):
-        # the golden sweep: 6 search probes (2 of them fail at step 0) and 4
-        # further rows; building for every probe made 10
+    def counted_builds(self, mp):
         builds = []
+
+        def counting(*args, _build=bench.build_pipeline):
+            builds.append(args)
+            return _build(*args)
+        mp.setattr(bench, "build_pipeline", counting)
+        return builds
+
+    def test_default_sweep_builds_five_pipelines(self):
+        # the golden sweep: 6 search probes (5 of them fail at step 0) and 4
+        # further rows; counting units from step 0 instead of from the first
+        # measured frame's due step made 8, and building for every probe 10
         with pytest.MonkeyPatch.context() as mp:
-            def counting(*args, _build=bench.build_pipeline):
-                builds.append(args)
-                return _build(*args)
-            mp.setattr(bench, "build_pipeline", counting)
+            builds = self.counted_builds(mp)
             rows = run_sweep("identity", 256, 1, 100, trace_length=2000)
-        assert len(builds) == 8
+        assert len(builds) == 5
         sink = io.StringIO()
         write_csv(rows, sink)
         assert sink.getvalue() == (DATA / "golden_sweep.csv").read_text()
 
+    @pytest.mark.parametrize("load", [512, 528])
+    def test_default_sweep_probes_fail_at_step_0(self, load):
+        # 1800 measured frames due from step 390 (512) or 378 (528), deadline
+        # 3969 or 3850: at most 1789 or 1736 can arrive, against 1984 and
+        # 1925 counted from step 0, which let both probes build and run
+        frames = gen_traffic(DEFAULT_TRACE_LENGTH, DEFAULT_PACKET_SIZE, 0)
+        with pytest.MonkeyPatch.context() as mp:
+            builds = self.counted_builds(mp)
+            assert bench._probe(load, frames, "identity", 256, 1, 1, LOSS_BOUND) is None
+        assert builds == []
+
     def test_first_check_is_inclusive(self):
-        # 1111 frames at load 574: 1000 measured, deadline 1998, so at most
-        # 999 can arrive and the loss bound is met exactly
+        # 1111 frames at load 574: 1000 measured, deadline 1998. Counted from
+        # step 0, at most 999 can arrive and the loss bound is met exactly;
+        # counted from the first measured frame's due step, 193, at most 902
         builds = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bench, "build_pipeline", lambda *a: builds.append(a))
             assert bench._probe(574, gen_traffic(1111, 64, 0), "identity", 256, 1, 1,
                                 LOSS_BOUND) is None
         assert builds == []
+
+    @pytest.mark.parametrize("count, load, built", [
+        # 1000 measured due from step 214, deadline 2212: at most 999 can
+        # arrive, so the loss bound is met exactly and the probe stops
+        (1111, 517, 0),
+        # 90 measured due from step 13, deadline 193: at most 90 can arrive,
+        # so the probe may pass and must run
+        (100, 768, 1),
+    ])
+    def test_first_check_counts_from_the_first_measured_due_step(self, count, load,
+                                                                 built):
+        with pytest.MonkeyPatch.context() as mp:
+            builds = self.counted_builds(mp)
+            got = bench._probe(load, gen_traffic(count, 64, 0), "identity", 256, 1, 1,
+                               LOSS_BOUND)
+        assert len(builds) == built
+        if not built:
+            assert got is None
+
+    def test_later_checks_count_from_now(self):
+        # 300 frames at load 560: 270 measured due from step 53, deadline 598.
+        # The step-0 check passes (at most 272 can arrive), and the first
+        # mid-run check, at step 256, stops the probe; counting units from
+        # step 53 there lets it run to the deadline
+        segments = []
+        with pytest.MonkeyPatch.context() as mp:
+            def segment(*args, _forward=bench.forward_trace, **kw):
+                segments.append(kw["deadline"])
+                return _forward(*args, **kw)
+            mp.setattr(bench, "forward_trace", segment)
+            assert bench._probe(560, gen_traffic(300, 64, 0), "identity", 256, 1, 1,
+                                LOSS_BOUND) is None
+        assert segments == [256]
+        assert run_load_point(560, gen_traffic(300, 64, 0), "identity", 256,
+                              1).loss_fraction >= LOSS_BOUND
 
     @pytest.mark.parametrize("load", [700, 900, 1000])
     def test_overloaded_deadline_matches_naive_loop(self, load):
@@ -541,6 +605,26 @@ class TestProbeSetUp:
 
 
 class TestRunSweep:
+    @pytest.mark.parametrize("search", [
+        lambda frames: run_sweep("identity", 256, 1, 100, trace_length=400,
+                                 frames=frames),
+        lambda frames: find_max_throughput("identity", 256, 1, trace_length=400,
+                                           frames=frames),
+    ], ids=["run_sweep", "find_max_throughput"])
+    @pytest.mark.parametrize("replayed", [False, True])
+    def test_one_private_trace_per_search(self, search, replayed):
+        # a caller's frames are copied once for every probe and row to stamp;
+        # a generated trace is not copied at all
+        frames = gen_traffic(400, 64, 3) if replayed else None
+        made = []
+        with pytest.MonkeyPatch.context() as mp:
+            def counting(*args, _frame=Frame):
+                made.append(args)
+                return _frame(*args)
+            mp.setattr(bench, "Frame", counting)
+            search(frames)
+        assert len(made) == 400
+
     def test_sweep_shape_and_conservation(self):
         results = run_sweep("identity", 256, 1, 100, trace_length=400)
         loads = [r.offered_load for r in results]
