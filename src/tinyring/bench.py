@@ -152,11 +152,10 @@ def run_load_point(offered_load: int, frames: Sequence[Frame], nf: Processor | s
 
     Raises ValueError for an offered_load that is not a positive integer,
     an empty trace or a device_budget that is not an integer of at least 1.
-    The caller's frames are not stamped: the run injects a copy, made once
-    the arguments are checked.
+    The caller's frames are not stamped: the run injects a copy.
     """
-    result = _probe(offered_load, frames, nf, ring_size, num_outputs, device_budget,
-                    copy=True)
+    result = _probe(offered_load, _private(frames), nf, ring_size, num_outputs,
+                    device_budget)
     assert result is not None  # without a loss bound a probe always runs in full
     return result
 
@@ -168,16 +167,13 @@ def _private(frames: Sequence[Frame]) -> list[Frame]:
 
 def _probe(offered_load: int, trace: Sequence[Frame], nf: Processor | str,
            ring_size: int, num_outputs: int, device_budget: int,
-           loss_bound: float | None = None, *, copy: bool = False,
-           ) -> LoadPointResult | None:
+           loss_bound: float | None = None) -> LoadPointResult | None:
     """run_load_point's result, or None once its loss is bound to reach loss_bound.
 
     Injection stamps the frames of trace, which must therefore belong to
     the caller's search: every probe of one search stamps the same frames
     again, which is safe because an emitted frame takes its stamps from
     the device's per-buffer record and never refers to an injected one.
-    With copy, the probe injects a private copy instead, made after the
-    arguments are checked.
 
     With a loss bound the run goes in _CHECK_INTERVAL-step forward_trace
     segments, each resuming with the frames not yet injected. Before each
@@ -192,8 +188,7 @@ def _probe(offered_load: int, trace: Sequence[Frame], nf: Processor | str,
 
     The first check, at step 0, needs only the trace length, so it runs
     before any set-up: every argument is checked first, and a probe that
-    fails it returns without copying the trace or building the schedule and
-    the pipeline.
+    fails it returns without building the schedule and the pipeline.
     """
     _check_int(offered_load, "offered load", 1)
     if not trace:
@@ -214,8 +209,6 @@ def _probe(offered_load: int, trace: Sequence[Frame], nf: Processor | str,
 
     if loss_bound is not None and doomed(0, 0, 0):
         return None
-    if copy:
-        trace = _private(trace)
     due = [k * 1000 // offered_load for k in range(n)]
     _env, nic, agent = build_pipeline(ring_size, num_outputs)
     if loss_bound is None:
