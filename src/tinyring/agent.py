@@ -481,9 +481,8 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     len(frames). An entry of due that is not an integer (a bool included)
     or is smaller than the entry before it raises ValueError when the loop
     first reaches it, before it can set the clock or a frame's stamp; the
-    frames before it stay injected. Entries are checked one at a time, not
-    in a pass over the list, so a schedule handed over in segments (as the
-    bench's knee-search probes do) is not scanned again by every call.
+    frames before it stay injected. Entries are checked one at a time, as
+    the loop reads them, so a schedule costs no separate pass over it.
     """
     _check_int(device_budget, "device budget", 1)
     if due is not None:

@@ -18,12 +18,12 @@ descriptors are lost the same way. The first 10% of the trace warms the
 pipeline up and is excluded from all statistics. Latency is drain step
 minus inject step; percentiles are nearest-rank (the 50th of [1, 2, 3, 4]
 is 2). One deterministic trial per load point; all points share one trace.
-The knee search stops a probe as soon as the frames output 0 could still
+The knee search rejects a probe at step 0 when the frames output 0 could
 emit before the deadline cannot bring its loss under the bound. No measured
 frame enters the wire before the due step of the first one, so the bound
-counts only the device steps from then on. The first such check needs only
-the trace length, so a probe that fails it costs no set-up: no schedule and
-no pipeline.
+counts only the device steps from then on. The check needs only the trace
+length, so a rejected probe costs no set-up: no schedule and no pipeline.
+Every other probe runs its whole schedule, as a plain load point does.
 
 Injection stamps a frame, so a run needs frames of its own. A search or a
 sweep copies a caller's trace once and stamps that one copy in every probe;
@@ -52,7 +52,6 @@ MAX_LOAD_PER_BUDGET = 1000  # search ceiling: one packet per step per budget uni
 DEFAULT_TRACE_LENGTH = 2000
 DEFAULT_PACKET_SIZE = 64
 WARMUP_FRACTION = 10        # the first tenth of the trace is not measured
-_CHECK_INTERVAL = 256       # steps between a search probe's early-stop checks
 
 CSV_HEADER = "offered_load,delivered,lost,loss_fraction,latency_p50,latency_p99"
 
@@ -168,27 +167,23 @@ def _private(frames: Sequence[Frame]) -> list[Frame]:
 def _probe(offered_load: int, trace: Sequence[Frame], nf: Processor | str,
            ring_size: int, num_outputs: int, device_budget: int,
            loss_bound: float | None = None) -> LoadPointResult | None:
-    """run_load_point's result, or None once its loss is bound to reach loss_bound.
+    """run_load_point's result, or None when its loss is bound to reach loss_bound.
 
     Injection stamps the frames of trace, which must therefore belong to
     the caller's search: every probe of one search stamps the same frames
     again, which is safe because an emitted frame takes its stamps from
     the device's per-buffer record and never refers to an injected one.
 
-    With a loss bound the run goes in _CHECK_INTERVAL-step forward_trace
-    segments, each resuming with the frames not yet injected. Before each
-    segment it bounds the frames output 0 can still emit before the
-    deadline: each emission spends a transmit unit, and every packet but
-    the U received and not yet emitted on output 0 also spends a receive
-    unit. No measured frame is on the wire before first, the due step of
-    the first measured frame, so no unit spent before first can serve one,
-    and at most ((deadline - max(now, first)) * device_budget + U) // 2
-    more measured frames arrive. When the loss even that leaves is at
-    least loss_bound, the full run would fail, and the probe stops.
-
-    The first check, at step 0, needs only the trace length, so it runs
-    before any set-up: every argument is checked first, and a probe that
-    fails it returns without building the schedule and the pipeline.
+    With a loss bound the probe first bounds, at step 0, the measured
+    frames output 0 can emit before the deadline: each one spends a
+    receive unit and a transmit unit, and none is on the wire before
+    first, the due step of the first measured frame, so at most
+    (deadline - first) * device_budget // 2 of them arrive. When the loss
+    even that leaves is at least loss_bound, the full run would fail, and
+    the probe returns None. The check needs only the trace length, so it
+    runs before any set-up: every argument is checked first, and a
+    rejected probe builds neither the schedule nor the pipeline. A probe
+    that passes the check runs in full, as one without a bound does.
     """
     _check_int(offered_load, "offered load", 1)
     if not trace:
@@ -200,38 +195,13 @@ def _probe(offered_load: int, trace: Sequence[Frame], nf: Processor | str,
     deadline = (n - 1) * 1000 // offered_load + 1 + DRAIN_ALLOWANCE  # the last due step + 1 + ...
     warm = n // WARMUP_FRACTION
     measured = n - warm
-    first = warm * 1000 // offered_load  # the due step of the first measured frame
-
-    def doomed(now: int, received: int, emitted: int) -> bool:
-        """The bound above, with U = received and emitted measured frames so far."""
-        reachable = ((deadline - max(now, first)) * device_budget + received) // 2
-        return (measured - emitted - reachable) / measured >= loss_bound
-
-    if loss_bound is not None and doomed(0, 0, 0):
-        return None
+    if loss_bound is not None:
+        first = warm * 1000 // offered_load  # the due step of the first measured frame
+        if (measured - (deadline - first) * device_budget // 2) / measured >= loss_bound:
+            return None
     due = [k * 1000 // offered_load for k in range(n)]
     _env, nic, agent = build_pipeline(ring_size, num_outputs)
-    if loss_bound is None:
-        forward_trace(agent, trace, processor, device_budget, due=due, deadline=deadline)
-    else:
-        link = nic.link
-        end = 0
-        seen = emitted = 0  # frames on output 0 so far, and the measured ones among them
-        while True:
-            k = link.injected
-            end = min(end + _CHECK_INTERVAL, deadline)
-            forward_trace(agent, trace[k:], processor, device_budget,
-                          due=due[k:], deadline=end)
-            # a segment that stops short of its end finished the trace; one
-            # that finishes exactly at its end costs the next one an idle
-            # step, which emits nothing
-            if not nic.now == end < deadline:
-                break
-            out0 = link.tx_emitted[0]
-            emitted += sum(f.order >= warm for f in out0[seen:])
-            seen = len(out0)
-            if doomed(end, link.rx_delivered - seen, emitted):
-                return None
+    forward_trace(agent, trace, processor, device_budget, due=due, deadline=deadline)
     got = [f for f in nic.drain_tx(0) if f.order >= warm]
     delivered = len(got)
     lost = measured - delivered
@@ -288,14 +258,14 @@ def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
     stamps that copy. Binary search over the grid up to
     MAX_LOAD_PER_BUDGET * device_budget. It guarantees that the returned
     load was measured and passed, and that the next grid load up was shown
-    to fail: a probe stops as soon as its loss can no longer stay under the
-    bound, and a failed probe's row is never reported. The exception is a
-    returned load at the top of the grid. Loss is not always non-decreasing
-    in offered load, so a higher grid load may pass as well: with
-    ("identity", 8, 2) and device_budget=2 the search returns 592, loads
-    608 and 624 fail, and 640 to 672 lose nothing. Raises ValueError unless
-    loss_bound is in (0, 1] and device_budget an integer of at least 1,
-    and NoSustainableLoad when even the lowest grid load loses too much.
+    to fail, either at the step-0 check or in a full run; a failed probe's
+    row is never reported. The exception is a returned load at the top of
+    the grid. Loss is not always non-decreasing in offered load, so a
+    higher grid load may pass as well: with ("identity", 8, 2) and
+    device_budget=2 the search returns 592, loads 608 and 624 fail, and
+    640 to 672 lose nothing. Raises ValueError unless loss_bound is in
+    (0, 1] and device_budget an integer of at least 1, and
+    NoSustainableLoad when even the lowest grid load loses too much.
     """
     trace = (gen_traffic(trace_length, packet_size, seed) if frames is None
              else _private(frames))

@@ -293,7 +293,10 @@ class Nic:
     # -- link --------------------------------------------------------------
 
     def inject_rx(self, frame: Frame) -> None:
-        n = len(frame.payload)
+        payload = frame.payload
+        if type(payload) is not bytes:
+            raise ValueError(f"frame payload must be bytes, got {type(payload).__name__}")
+        n = len(payload)
         if not 1 <= n <= MAX_FRAME:
             raise ValueError(f"frame payload must be 1..{MAX_FRAME} bytes, got {n}")
         frame.inject_time = self.now

@@ -330,37 +330,31 @@ frame_lists = st.one_of(
 @settings(max_examples=settings.default.max_examples * 3 // 2, deadline=None)
 @given(load=st.integers(1, 3000), ring=st.sampled_from([2, 4, 8, 16, 64, 256]),
        outputs=st.integers(1, 4), budget=st.integers(1, 3),
-       nf=st.sampled_from(["identity", "macswap", "policer"]), frames=frame_lists,
-       interval=st.one_of(st.just(1), st.integers(1, 300)))
-# overloads whose tightest bound trips an early stop that leaves out the
-# received packets' term, or that charges 1 + num_outputs units per frame
+       nf=st.sampled_from(["identity", "macswap", "policer"]), frames=frame_lists)
+# heavy overloads that lose about half the measured frames: rejected at
+# step 0 under LOSS_BOUND, and run in full under a bound just above that loss
 @example(load=1479, ring=256, outputs=2, budget=1, nf="identity",
-         frames=gen_traffic(65, 578, 7), interval=1)
+         frames=gen_traffic(65, 578, 7))
 @example(load=1145, ring=4, outputs=4, budget=1, nf="identity",
-         frames=gen_traffic(36, 467, 2), interval=1)
+         frames=gen_traffic(36, 467, 2))
 # probes that fail at step 0 only because no measured frame enters before
 # the first one's due step: 176 and 171 of 180 measured frames can arrive
 # from it, against 192 and 182 from step 0
 @example(load=620, ring=256, outputs=1, budget=1, nf="identity",
-         frames=gen_traffic(200, 64, 0), interval=256)
+         frames=gen_traffic(200, 64, 0))
 @example(load=1700, ring=16, outputs=3, budget=2, nf="macswap",
-         frames=gen_traffic(200, 300, 4), interval=256)
-def test_early_stop_is_sound(load, ring, outputs, budget, nf, frames, interval):
-    # A search probe returns run_load_point's row, or stops early only at a
-    # load whose full row fails the bound. A short check interval puts the
-    # mid-run checks inside short traces, and a bound just above the full
+         frames=gen_traffic(200, 300, 4))
+def test_early_stop_is_sound(load, ring, outputs, budget, nf, frames):
+    # A search probe returns run_load_point's row, or stops at step 0 only
+    # at a load whose full row fails the bound. A bound just above the full
     # row's loss is the tightest case a sound stop must not trip over.
-    deadline = (len(frames) - 1) * 1000 // load + 1 + DRAIN_ALLOWANCE
-    interval = max(interval, deadline // 200)  # at most about 200 segments
     full = run_load_point(load, frames, nf, ring, outputs, device_budget=budget)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bench, "_CHECK_INTERVAL", interval)
-        for bound in LOSS_BOUND, math.nextafter(full.loss_fraction, 2):
-            got = bench._probe(load, frames, nf, ring, outputs, budget, bound)
-            if got is None:
-                assert full.loss_fraction >= bound
-            else:
-                assert got == full
+    for bound in LOSS_BOUND, math.nextafter(full.loss_fraction, 2):
+        got = bench._probe(load, frames, nf, ring, outputs, budget, bound)
+        if got is None:
+            assert full.loss_fraction >= bound
+        else:
+            assert got == full
 
 
 def reference_search(frames, nf, ring, outputs, budget):
@@ -490,8 +484,9 @@ class TestFindMax:
 
 
 class TestProbeSetUp:
-    """A knee-search probe that fails its first early-stop check returns
-    before it builds a pipeline, and still checks every argument first."""
+    """A knee-search probe that fails its step-0 check returns before it
+    builds a pipeline, and still checks every argument first; one that
+    passes runs in full."""
 
     FAILS_AT_STEP_0 = 1000  # 2000 frames: at most 932 of 1800 measured can arrive
 
@@ -546,22 +541,22 @@ class TestProbeSetUp:
                          LOSS_BOUND)
         assert len(builds) == 1
 
-    def test_later_checks_count_from_now(self):
-        # 300 frames at load 560: 270 measured due from step 53, deadline 598.
-        # The step-0 check passes (at most 272 can arrive), and the first
-        # mid-run check, at step 256, stops the probe; counting units from
-        # step 53 there lets it run to the deadline
-        segments = []
+    def test_a_probe_that_passes_the_first_check_runs_in_full(self):
+        # 300 frames at load 560: 270 measured due from step 53, deadline
+        # 598. The step-0 check passes (at most 272 can arrive), so the probe
+        # runs its whole schedule in one forward_trace call, and that run's
+        # loss decides the search
+        frames = gen_traffic(300, 64, 0)
+        runs = []
         with pytest.MonkeyPatch.context() as mp:
-            def segment(*args, _forward=bench.forward_trace, **kw):
-                segments.append(kw["deadline"])
+            def run(*args, _forward=bench.forward_trace, **kw):
+                runs.append(kw["deadline"])
                 return _forward(*args, **kw)
-            mp.setattr(bench, "forward_trace", segment)
-            assert bench._probe(560, gen_traffic(300, 64, 0), "identity", 256, 1, 1,
-                                LOSS_BOUND) is None
-        assert segments == [256]
-        assert run_load_point(560, gen_traffic(300, 64, 0), "identity", 256,
-                              1).loss_fraction >= LOSS_BOUND
+            mp.setattr(bench, "forward_trace", run)
+            got = bench._probe(560, frames, "identity", 256, 1, 1, LOSS_BOUND)
+        assert runs == [598]
+        assert got == run_load_point(560, frames, "identity", 256, 1)
+        assert got.loss_fraction >= LOSS_BOUND
 
     @pytest.mark.parametrize("load", [700, 900, 1000])
     def test_overloaded_deadline_matches_naive_loop(self, load):

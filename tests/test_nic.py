@@ -344,6 +344,28 @@ class TestLink:
         with pytest.raises(ValueError):
             Nic(MemEnv()).inject_rx(Frame(b""))
 
+    @pytest.mark.parametrize("payload", ["abcd", [1, 2, 3], bytearray(b"x" * 64),
+                                         memoryview(b"x" * 64)],
+                             ids=["str", "list", "bytearray", "memoryview"])
+    def test_inject_rejects_a_payload_that_is_not_bytes(self, payload):
+        # a str or list payload would leave the wire and be lost when the
+        # device stores it into DMA, and a mutable buffer could change
+        # between injection and receipt
+        env = MemEnv()
+        nic = Nic(env)
+        rx_ring(env, nic)
+        frame = Frame(payload)
+        with pytest.raises(ValueError, match="must be bytes"):
+            nic.inject_rx(frame)
+        assert (frame.inject_time, frame.order) == (None, None)
+        link = nic.link
+        assert (link.injected, link.rx_delivered, link.rx_dropped) == (0, 0, 0)
+        assert not link.rx_pending
+        nic.inject_rx(Frame(b"y" * 64))
+        nic.step_device(4)
+        assert link.injected == link.rx_delivered + link.rx_dropped + len(link.rx_pending)
+        assert link.rx_delivered == 1
+
     def test_drain_unknown_queue(self):
         with pytest.raises(ValueError):
             Nic(MemEnv()).drain_tx(1)
