@@ -1,5 +1,5 @@
 """tinyring: a deterministic descriptor-ring device model with a
-single-ring forwarding agent, a pool-based oracle, and a benchmark harness.
+single-ring forwarding agent, a one-buffer oracle, and a benchmark harness.
 """
 
 from .mem import DEFAULT_PAGE_SIZE, MemEnv, OutOfMemory, TranslationFault
@@ -9,7 +9,7 @@ from .nic import (DESC_BYTES, MAX_FRAME, META_DD, META_EOP, META_LEN_MASK,
                   encode_descriptor, ownership)
 from .agent import (Agent, PipelineStalled, Processor, ProtocolViolation,
                     build_pipeline, forward_trace)
-from .reference import BufferPool, RefPipeline, ref_init
+from .reference import RefPipeline, ref_init
 from .netfuncs import identity, macswap, make_processor, policer
 from .bench import (CSV_HEADER, DEVICE_BUDGET, DRAIN_ALLOWANCE,
                     SEARCH_GRANULARITY, LoadPointResult,
@@ -20,7 +20,7 @@ from .bench import (CSV_HEADER, DEVICE_BUDGET, DRAIN_ALLOWANCE,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Agent", "BufferPool", "CSV_HEADER", "DEFAULT_PAGE_SIZE", "DESC_BYTES",
+    "Agent", "CSV_HEADER", "DEFAULT_PAGE_SIZE", "DESC_BYTES",
     "DEVICE_BUDGET", "DRAIN_ALLOWANCE", "Descriptor", "Frame",
     "InvalidRegisterError", "LoadPointResult", "MAX_FRAME", "META_DD",
     "META_EOP", "META_LEN_MASK", "META_RS", "MemEnv", "Nic",

@@ -37,12 +37,13 @@ import math
 import random
 import struct
 from dataclasses import dataclass
+from numbers import Real
 from typing import IO, Iterable, Sequence
 
 from .agent import Processor, _check_geometry, build_pipeline, forward_trace
 from .mem import _check_int
 from .netfuncs import make_processor
-from .nic import MAX_FRAME, Frame
+from .nic import MAX_FRAME, MAX_QUEUES, Frame
 
 DEVICE_BUDGET = 1
 DRAIN_ALLOWANCE = 64        # steps granted past the end of the injection schedule
@@ -57,7 +58,13 @@ CSV_HEADER = "offered_load,delivered,lost,loss_fraction,latency_p50,latency_p99"
 
 
 def service_rate(device_budget: int = DEVICE_BUDGET, num_outputs: int = 1) -> int:
-    """Sustainable packets per 1000 steps for a given budget and output count."""
+    """Sustainable packets per 1000 steps for a given budget and output count.
+
+    Raises ValueError unless device_budget is an integer of at least 1 and
+    num_outputs an integer in [1, MAX_QUEUES].
+    """
+    _check_int(device_budget, "device budget", 1)
+    _check_int(num_outputs, "output count", 1, MAX_QUEUES)
     return 1000 * device_budget // (1 + num_outputs)
 
 
@@ -72,7 +79,12 @@ class LoadPointResult:
 
 
 def percentile(values: Sequence[int], pct: float) -> int:
-    """Nearest-rank percentile; 0 for an empty sample."""
+    """Nearest-rank percentile; 0 for an empty sample.
+
+    Raises ValueError unless pct is a real number in [0, 100], not a bool.
+    """
+    if isinstance(pct, bool) or not isinstance(pct, Real) or not 0 <= pct <= 100:
+        raise ValueError(f"percentile must be a real number in [0, 100], got {pct!r}")
     if not values:
         return 0
     ordered = sorted(values)
@@ -214,6 +226,13 @@ class NoSustainableLoad(ValueError):
     """No load on the search grid keeps loss under the bound."""
 
 
+def _check_loss_bound(loss_bound: float) -> None:
+    """Raise ValueError unless loss_bound is a real number in (0, 1], not a bool."""
+    if (isinstance(loss_bound, bool) or not isinstance(loss_bound, Real)
+            or not 0 < loss_bound <= 1):
+        raise ValueError(f"loss bound must be a real number in (0, 1], got {loss_bound!r}")
+
+
 def _search_max_throughput(trace: Sequence[Frame], nf: Processor | str,
                            ring_size: int, num_outputs: int, loss_bound: float,
                            device_budget: int,
@@ -222,8 +241,7 @@ def _search_max_throughput(trace: Sequence[Frame], nf: Processor | str,
 
     Every probe stamps the frames of trace, which must be the caller's own.
     """
-    if not 0 < loss_bound <= 1:
-        raise ValueError(f"loss bound must be in (0, 1], got {loss_bound}")
+    _check_loss_bound(loss_bound)
     _check_int(device_budget, "device budget", 1)
     measured: dict[int, LoadPointResult] = {}
     ceiling = MAX_LOAD_PER_BUDGET * device_budget
@@ -263,10 +281,12 @@ def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
     the grid. Loss is not always non-decreasing in offered load, so a
     higher grid load may pass as well: with ("identity", 8, 2) and
     device_budget=2 the search returns 592, loads 608 and 624 fail, and
-    640 to 672 lose nothing. Raises ValueError unless loss_bound is in
-    (0, 1] and device_budget an integer of at least 1, and
+    640 to 672 lose nothing. Raises ValueError unless loss_bound is a
+    real number in (0, 1], not a bool, checked before any trace is built
+    or copied, and device_budget an integer of at least 1, and
     NoSustainableLoad when even the lowest grid load loses too much.
     """
+    _check_loss_bound(loss_bound)
     trace = (gen_traffic(trace_length, packet_size, seed) if frames is None
              else _private(frames))
     return _search_max_throughput(trace, nf, ring_size, num_outputs, loss_bound,

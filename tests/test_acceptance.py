@@ -12,10 +12,10 @@ import struct
 import time
 
 from tinyring import (DEFAULT_PAGE_SIZE, SEARCH_GRANULARITY, Descriptor, Frame, MemEnv,
-                      TranslationFault, build_pipeline, decode_descriptor,
+                      RefPipeline, TranslationFault, build_pipeline, decode_descriptor,
                       encode_descriptor, forward_trace, gen_traffic, identity,
-                      macswap, ownership, policer, ref_init, run_load_point,
-                      run_sweep, service_rate, write_csv)
+                      macswap, ownership, policer, run_load_point, run_sweep,
+                      service_rate, write_csv)
 
 import pytest
 
@@ -107,7 +107,7 @@ def test_c03_differential_equivalence():
         done = forward_trace(agent, [Frame(p) for p in trace], nf(),
                              device_budget=1 + n)
         assert done == packets
-        want = ref_init(4, n, nf()).process_trace([Frame(p) for p in trace])
+        want = RefPipeline(n, nf()).process_trace([Frame(p) for p in trace])
         for q in range(n):
             got = [f.payload for f in nic.drain_tx(q)]
             assert got == want[q], f"pair {i}: ring {ring}, N {n}, flush {flush}, queue {q}"

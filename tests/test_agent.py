@@ -14,8 +14,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
 
 from tinyring import (DESC_BYTES, MAX_FRAME, META_DD, META_EOP, META_RS, Agent,
                       Frame, MemEnv, Nic, PipelineStalled, ProtocolViolation,
-                      TranslationFault, build_pipeline, forward_trace, gen_traffic,
-                      identity, macswap, ownership, policer, ref_init, service_rate)
+                      RefPipeline, TranslationFault, build_pipeline, forward_trace,
+                      gen_traffic, identity, macswap, ownership, policer, service_rate)
 
 U64 = struct.Struct("<Q")
 
@@ -804,7 +804,7 @@ def test_differential_against_reference(trace, data):
     _, nic, agent = make(ring_size=ring_size, num_outputs=num_outputs,
                          flush_period=flush, recycle_period=recycle)
     forward_trace(agent, [Frame(p) for p in trace], factory())
-    want = ref_init(4, num_outputs, factory()).process_trace([Frame(p) for p in trace])
+    want = RefPipeline(num_outputs, factory()).process_trace([Frame(p) for p in trace])
     for q in range(num_outputs):
         assert [f.payload for f in nic.drain_tx(q)] == want[q]
 
@@ -814,7 +814,7 @@ def test_long_mixed_trace_differential():
     trace = [Frame(rng.randbytes(rng.randint(12, 2048))) for _ in range(800)]
     _, nic, agent = make(ring_size=8, num_outputs=2)
     forward_trace(agent, [Frame(f.payload) for f in trace], macswap(), device_budget=3)
-    want = ref_init(8, 2, macswap()).process_trace(trace)
+    want = RefPipeline(2, macswap()).process_trace(trace)
     for q in range(2):
         assert [f.payload for f in nic.drain_tx(q)] == want[q]
 
@@ -964,7 +964,7 @@ class RingMachine(RuleBasedStateMachine):
     def expected(self):
         """Reference outputs for the packets the agent has processed so far."""
         frames = [Frame(p) for p in self.payloads[:self.agent.processed]]
-        return ref_init(4, self.agent.num_outputs, self.factory()).process_trace(frames)
+        return RefPipeline(self.agent.num_outputs, self.factory()).process_trace(frames)
 
     @precondition(lambda self: not self.nic.link.rx_pending
                   and self.nic.reg_read("RDH") != self.nic.reg_read("RDT"))

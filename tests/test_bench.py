@@ -39,6 +39,15 @@ class TestServiceRate:
         assert service_rate(2, 1) == 1000
         assert service_rate(1, 3) == 250
 
+    @pytest.mark.parametrize("budget, outputs, what", [
+        (0, 1, "device budget"), (True, 1, "device budget"), (1.0, 1, "device budget"),
+        (1, 0, "output count"), (1, -1, "output count"), (1, 9, "output count"),
+        (1, True, "output count"),
+    ])
+    def test_invalid_arguments_rejected(self, budget, outputs, what):
+        with pytest.raises(ValueError, match=what):
+            service_rate(budget, outputs)
+
 
 class TestPercentile:
     def test_median_of_four_is_second(self):
@@ -58,6 +67,12 @@ class TestPercentile:
         assert percentile([], 50) == 0
         assert percentile([42], 50) == 42
         assert percentile([42], 99) == 42
+
+    @pytest.mark.parametrize("pct", [150, -1, 100.5, math.nan, math.inf, True, "50", None])
+    def test_invalid_pct_rejected(self, pct):
+        for values in ([1, 2, 3], []):
+            with pytest.raises(ValueError, match="percentile"):
+                percentile(values, pct)
 
 
 class TestGenTraffic:
@@ -418,6 +433,17 @@ class TestFindMax:
         assert not isinstance(info.value, NoSustainableLoad)
         with pytest.raises(ValueError, match="loss bound"):
             bench._search_max_throughput(frames, "identity", 8, 1, bound, 1)
+
+    @pytest.mark.parametrize("bound", [True, "0.1", None, 1j])
+    def test_non_real_loss_bound_rejected_before_any_trace(self, bound, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a trace was built before the loss bound was checked")
+        monkeypatch.setattr(bench, "gen_traffic", unreachable)
+        monkeypatch.setattr(bench, "_private", unreachable)
+        for frames in (None, gen_traffic(40, 64, 0)):
+            with pytest.raises(ValueError, match="loss bound") as info:
+                find_max_throughput("identity", 8, 1, bound, frames=frames)
+            assert not isinstance(info.value, NoSustainableLoad)
 
     @pytest.mark.parametrize("budget", [0, -1, 1.5, True])
     def test_invalid_budget_rejected(self, budget):

@@ -8,7 +8,7 @@ import tinyring
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 PUBLIC = {
-    "Agent", "BufferPool", "CSV_HEADER", "DEFAULT_PAGE_SIZE", "DESC_BYTES",
+    "Agent", "CSV_HEADER", "DEFAULT_PAGE_SIZE", "DESC_BYTES",
     "DEVICE_BUDGET", "DRAIN_ALLOWANCE", "Descriptor", "Frame",
     "InvalidRegisterError", "LoadPointResult", "MAX_FRAME", "META_DD",
     "META_EOP", "META_LEN_MASK", "META_RS", "MemEnv", "Nic",
