@@ -26,9 +26,10 @@ Each tail write is one call of a doorbell (Nic.doorbell) the agent binds
 to its ring at construction; only the set-up goes through the
 string-keyed reg_write.
 When a receive poll comes up empty the agent publishes and recycles
-immediately instead; without that, a ragged batch at the end of a burst
-would sit unpublished forever and rings no larger than the recycle period
-would wedge.
+immediately instead, entering _flush only when a batch is unpublished and
+recycle only when the receive tail is below its bound; without that, a
+ragged batch at the end of a burst would sit unpublished forever and rings
+no larger than the recycle period would wedge.
 
 Report status has one rule: every publish marks RS on the last descriptor
 of the batch it publishes, on every queue, so each batch ends in a head
@@ -37,7 +38,9 @@ an empty poll or finish(). transmit itself never sets RS. A slot goes back
 to the device only once every output is done with it, and transmit has
 already cleared its receive done bit by then, so recycling only moves the
 receive tail. Transmit progress is read from the head write-back words
-alone, by one helper that recycling and quiescence share. Like the device,
+alone: recycling, quiescence and the drain bound each unwrap a word h
+against processed as processed - ((processed - h) & (S - 1)), so a
+corrupt word at or above S reads the same in all three. Like the device,
 the agent reads and writes descriptor metadata and write-back words through
 native-order word views of the arena (see tinyring.nic for why that is
 sound); each ring's first metadata word index is computed once, at
@@ -227,31 +230,29 @@ class Agent:
     def recycle(self) -> None:
         """Hand fully transmitted slots back to the receive ring.
 
-        The bound is the earliest transmit head across queues: a slot is
-        reused only once every queue is done with it. No-op when nothing
-        new has drained; returns before reading any head write-back word
-        when the tail already sits at the bound processed - 1 + ring_size,
-        which no head can raise until another packet is processed.
+        The bound is the earliest transmit head across queues, read from
+        the head write-back words: a slot is reused only once every queue
+        is done with it. No-op when nothing new has drained; returns before
+        reading any head write-back word when the tail already sits at the
+        bound processed - 1 + ring_size, which no head can raise until
+        another packet is processed. An empty poll calls it only when the
+        tail is below that bound; finish() calls it unconditionally.
         """
-        if self._rdt_unwrapped == self.processed - 1 + self.ring_size:
-            return
-        new_tail = self._tx_head() - 1 + self.ring_size
-        if new_tail <= self._rdt_unwrapped:
-            return
-        self._rdt_unwrapped = new_tail
-        self._rdt(new_tail & self._mask)
-
-    def _tx_head(self) -> int:
-        """The earliest transmit head across queues, unwrapped, from the head write-back."""
         p = self.processed
         mask = self._mask
+        if self._rdt_unwrapped == p + mask:
+            return
         earliest = p
         for h in self._heads:
             # mod-size head to unwrapped: heads trail processed by < ring_size
             uh = p - ((p - h) & mask)
             if uh < earliest:
                 earliest = uh
-        return earliest
+        new_tail = earliest + mask
+        if new_tail <= self._rdt_unwrapped:
+            return
+        self._rdt_unwrapped = new_tail
+        self._rdt(new_tail & mask)
 
     # -- driving loops ------------------------------------------------------
 
@@ -269,9 +270,12 @@ class Agent:
         any word is written, so a rejected packet stays outstanding with
         nothing half-filed.
 
-        An empty poll does the deferred housekeeping instead (publish any
-        ragged batch, recycle), which keeps the pipeline live when traffic
-        pauses between flush boundaries.
+        An empty poll does the deferred housekeeping instead, which keeps
+        the pipeline live when traffic pauses between flush boundaries: it
+        publishes a ragged batch if processed is ahead of the published
+        tails, and recycles if the receive tail is below its bound
+        processed + ring_size - 1. Housekeeping with nothing to do is not
+        entered.
         """
         if self._inflight:
             raise ProtocolViolation("previous packet was never transmitted")
@@ -279,8 +283,11 @@ class Agent:
         rx = self._rx_meta + 2 * slot  # read for the done bit, cleared at filing
         meta = self._u64[rx]
         if not meta & META_DD:
-            self._flush()
-            self.recycle()
+            p = self.processed
+            if p != self._published:
+                self._flush()
+            if self._rdt_unwrapped < p + self._mask:
+                self.recycle()
             return False
         n = meta & META_LEN_MASK
         if n > MAX_FRAME:
@@ -343,7 +350,8 @@ class Agent:
     def quiescent(self) -> bool:
         """True when nothing is outstanding and every queue's head write-back
         has reached processed, which implies every packet was published."""
-        return not self._inflight and self._tx_head() == self.processed
+        p, mask = self.processed, self._mask
+        return not self._inflight and not any((p - h) & mask for h in self._heads)
 
     def finish(self, device_budget: int = 1) -> None:
         """Publish everything still pending and step the device until it drains.
@@ -446,12 +454,13 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     A poll that files a packet never leaves the agent quiescent, so the
     check runs only after empty polls.
 
-    The check reads no head write-back word: the poll's own recycle() has
-    just read them. Recycling leaves the receive tail at
-    max(tail, earliest head - 1 + ring_size), heads only move forward and
-    never pass processed, and no tail exceeds processed - 1 + ring_size; so
-    right after it the tail sits at that bound exactly when every head has
-    reached processed, which with nothing outstanding is quiescent(). Every
+    The check reads no head write-back word: the poll has just recycled,
+    unless the receive tail already sat at its bound. Recycling leaves the
+    receive tail at max(tail, earliest head - 1 + ring_size), heads only
+    move forward and never pass processed, and no tail exceeds
+    processed - 1 + ring_size; so right after it the tail sits at that
+    bound exactly when every head has reached processed, which with
+    nothing outstanding is quiescent(). Every
     delivered packet has been processed too: had the device delivered the
     packet at processed, its done bit would still be set and the poll
     would not have come up empty.
@@ -557,6 +566,6 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
             continue
         # nothing can move until a frame enters; a flow-controlled one enters next step
         if due is not None:
-            nic.now = nxt if deadline is None else min(nxt, deadline)
+            nic.now = nxt if deadline is None or nxt < deadline else deadline
         idle = False
     return count

@@ -161,6 +161,16 @@ class Frame:
     order: int | None = None
 
 
+def _check_payload(payload: bytes) -> None:
+    """The rule for a frame payload, shared by the device and the oracle:
+    bytes, 1..MAX_FRAME long; anything else raises ValueError."""
+    if type(payload) is not bytes:
+        raise ValueError(f"frame payload must be bytes, got {type(payload).__name__}")
+    n = len(payload)
+    if not 1 <= n <= MAX_FRAME:
+        raise ValueError(f"frame payload must be 1..{MAX_FRAME} bytes, got {n}")
+
+
 class Link:
     """Frame queues on both sides of the device, plus loss accounting."""
 
@@ -213,12 +223,13 @@ class Nic:
         # one ring per service class: class 0 is the receive ring, 1 + q transmit ring q
         self._rings = (_Ring("receive ring"),
                        *(_Ring(f"transmit ring {q}") for q in range(num_tx_queues)))
+        self._txs = self._rings[1:]
         # (register name, queue) -> (ring, field): the whole register file
         self._regs: dict[tuple[str, int], tuple[_Ring, str]] = {
             (reg, 0): (self._rings[0], field) for reg, field in (
                 ("RDBA", "base"), ("RDLEN", "length"), ("RDH", "head"),
                 ("RDT", "tail"), ("RXEN", "enabled"))}
-        for q, ring in enumerate(self._rings[1:]):
+        for q, ring in enumerate(self._txs):
             for reg, field in (("TDBA", "base"), ("TDLEN", "length"), ("TDH", "head"),
                                ("TDT", "tail"), ("TXEN", "enabled"), ("TDWBA", "wb")):
                 self._regs[reg, q] = (ring, field)
@@ -293,12 +304,7 @@ class Nic:
     # -- link --------------------------------------------------------------
 
     def inject_rx(self, frame: Frame) -> None:
-        payload = frame.payload
-        if type(payload) is not bytes:
-            raise ValueError(f"frame payload must be bytes, got {type(payload).__name__}")
-        n = len(payload)
-        if not 1 <= n <= MAX_FRAME:
-            raise ValueError(f"frame payload must be 1..{MAX_FRAME} bytes, got {n}")
+        _check_payload(frame.payload)
         frame.inject_time = self.now
         frame.order = self.link.injected
         self.link.injected += 1
@@ -320,6 +326,12 @@ class Nic:
         transmit queue (persistent round-robin cursor, skipping classes with
         nothing to do). Returns the number of work units spent; dropping an
         undeliverable frame costs one unit like a completion does.
+
+        A step in which no class has work (the wire is empty or the receive
+        ring is disabled, and no enabled transmit ring has head != tail) is
+        idle: after that one check it returns 0, with the clock advanced,
+        the cursor where it was and no memory touched, which is what a lap
+        over idle classes would leave.
 
         A transmit completion emits a Frame carrying the (inject_time,
         order) recorded when its buffer was received and the current step
@@ -347,11 +359,19 @@ class Nic:
         """
         rings = self._rings
         rx = rings[0]
-        if not rx.enabled and not any(ring.enabled for ring in rings):
+        if not rx.enabled and not any(ring.enabled for ring in self._txs):
             raise NotReadyError("device is not enabled")
         now = self.now = self.now + 1
         link = self.link
         wire = link.rx_pending
+        if not (wire and rx.enabled):
+            # the idle step: no class has work, so a lap would serve nothing
+            # and end on the class it began on, having touched no memory
+            for ring in self._txs:
+                if ring.head != ring.tail and ring.enabled:
+                    break
+            else:
+                return 0
         stamps = link.buffer_meta
         emitted = link.tx_emitted
         mem, u64 = self._mem, self._u64

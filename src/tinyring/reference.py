@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .agent import Processor
 from .mem import _check_int
-from .nic import MAX_FRAME, Frame
+from .nic import MAX_FRAME, Frame, _check_payload
 
 
 class RefPipeline:
@@ -30,12 +30,15 @@ class RefPipeline:
 
         Strictly sequential: a frame is copied out on every output before
         the next one is copied in, so one buffer serves every frame and
-        order is preserved end to end.
+        order is preserved end to end. A payload the device would reject
+        at injection (not bytes, or not 1..MAX_FRAME bytes long) raises the
+        same ValueError before it is copied in.
         """
         buf = self._buf
         outs: list[list[bytes]] = [[] for _ in range(self.num_outputs)]
         for frame in frames:
             payload = frame.payload
+            _check_payload(payload)
             n = len(payload)
             buf[:n] = payload
             lengths = self.processor(memoryview(buf), n, self.num_outputs)

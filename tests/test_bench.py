@@ -265,6 +265,28 @@ class TestRunLoadPoint:
         assert res.latency_p99 == 3
         assert len(steps) == 1150
 
+    def test_housekeeping_count(self):
+        # the run above: _flush is entered only with a batch to publish, once
+        # per packet (350 ragged batches from empty polls, 50 on the flush
+        # grid). recycle runs once per packet after its transmit (400 moves
+        # of the receive tail), before it on the 350 ragged packets' empty
+        # polls, and on the 6 recycle-grid packets when they are filed.
+        flushes, recycles = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            def _flush(self, _flush=Agent._flush):
+                published = self._published
+                _flush(self)
+                flushes.append(self._published != published)
+            def recycle(self, _recycle=Agent.recycle):
+                tail = self._rdt_unwrapped
+                _recycle(self)
+                recycles.append(self._rdt_unwrapped != tail)
+            mp.setattr(Agent, "_flush", _flush)
+            mp.setattr(Agent, "recycle", recycle)
+            run_load_point(100, TRACE_400, "identity", 256, 1)
+        assert flushes == [True] * 400
+        assert (len(recycles), sum(recycles)) == (756, 400)
+
 
 def naive_load_point(load, nf, ring_size, num_outputs, frames, device_budget):
     """The plain lockstep loop: inject what is due, step, poll, every step.
@@ -302,7 +324,8 @@ def stamps(frames):
     return [(f.order, f.inject_time, f.drain_time, f.payload) for f in frames]
 
 
-@settings(max_examples=60, deadline=None)
+# tier-1 runs 60 examples; --hypothesis-profile=deep scales it with the profile
+@settings(max_examples=settings.default.max_examples * 3 // 5, deadline=None)
 @given(data=st.data())
 def test_load_point_matches_naive_lockstep_loop(data):
     # run_load_point skips steps in which nothing can happen; every frame it

@@ -376,6 +376,32 @@ class TestLink:
             Nic(MemEnv(), 2).drain_tx(queue)
 
 
+def cursor_on_queue_1():
+    """A receive ring and two transmit queues of zero-length descriptors,
+    after one step that served queue 0's first descriptor, which leaves the
+    round-robin cursor on queue 1; returns (env, nic)."""
+    env = MemEnv()
+    nic = Nic(env, 2)
+    rx_ring(env, nic)
+    for q in (0, 1):
+        tx_ring(env, nic, queue=q)
+    nic.reg_write("TDT", 1, 0)
+    assert nic.step_device(1) == 1
+    assert nic.reg_read("TDH", 0) == 1
+    return env, nic
+
+
+def service_order(nic, steps):
+    """The transmit queue served by each of steps budget-1 steps that do work;
+    a step that serves the receive ring adds nothing."""
+    order = []
+    for _ in range(steps):
+        heads = [nic.reg_read("TDH", q) for q in (0, 1)]
+        assert nic.step_device(1) == 1
+        order += [q for q in (0, 1) if nic.reg_read("TDH", q) != heads[q]]
+    return order
+
+
 class TestStepping:
     def test_not_enabled(self):
         with pytest.raises(NotReadyError):
@@ -560,6 +586,62 @@ class TestStepping:
         assert list(nic.link.rx_pending) == [frame]
         assert (nic.link.rx_delivered, nic.link.rx_dropped) == (0, 0)
         assert nic.reg_read("RDH") == 0
+
+    def test_idle_step_with_an_owned_but_disabled_queue(self):
+        # queue 0 owns two descriptors but is stopped and the wire is empty:
+        # the step serves nothing, moves the clock and leaves the cursor on
+        # queue 1, where serving queue 0 put it
+        env, nic = cursor_on_queue_1()
+        nic.reg_write("TXEN", 0, 0)
+        nic.reg_write("TDT", 3, 0)
+        arena, now = bytes(env.dma), nic.now
+        assert nic.step_device(4) == 0
+        assert nic.now == now + 1
+        assert bytes(env.dma) == arena
+        nic.reg_write("TXEN", 1, 0)
+        nic.reg_write("TDT", 2, 1)
+        assert service_order(nic, 4) == [1, 0, 1, 0]
+
+    def test_idle_step_with_a_frame_on_a_disabled_receive_ring(self):
+        env, nic = cursor_on_queue_1()
+        nic.reg_write("RXEN", 0)
+        frame = Frame(b"w" * 64)
+        nic.inject_rx(frame)
+        arena, now = bytes(env.dma), nic.now
+        assert nic.step_device(4) == 0
+        assert nic.now == now + 1
+        assert bytes(env.dma) == arena
+        assert list(nic.link.rx_pending) == [frame]
+        nic.reg_write("TDT", 3, 0)
+        nic.reg_write("TDT", 2, 1)
+        assert service_order(nic, 4) == [1, 0, 1, 0]
+
+    def test_disabled_device_raises_before_the_clock_moves(self):
+        env, nic = cursor_on_queue_1()
+        switches = (("RXEN", 0), ("TXEN", 0), ("TXEN", 1))
+        for reg, q in switches:
+            nic.reg_write(reg, 0, q)
+        nic.reg_write("TDT", 3, 0)
+        nic.inject_rx(Frame(b"d" * 64))
+        now = nic.now
+        with pytest.raises(NotReadyError):
+            nic.step_device(4)
+        assert nic.now == now
+        for reg, q in switches:
+            nic.reg_write(reg, 1, q)
+        nic.reg_write("TDT", 2, 1)
+        # the frame is received once the cursor comes round to the receive ring
+        assert service_order(nic, 5) == [1, 0, 1, 0]
+        assert nic.link.rx_delivered == 1
+
+    def test_idle_check_looks_at_every_queue(self):
+        # an empty wire and an idle queue 0 do not make the step idle while
+        # queue 1 has work
+        env, nic = cursor_on_queue_1()
+        nic.reg_write("TDT", 1, 1)
+        assert service_order(nic, 1) == [1]
+        nic.reg_write("TDT", 2, 1)
+        assert service_order(nic, 1) == [1]
 
     def test_step_stops_when_idle(self):
         env = MemEnv()

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinyring import Frame, RefPipeline, identity, macswap, policer, ref_init
+from tinyring import (MAX_FRAME, Frame, MemEnv, Nic, RefPipeline, identity, macswap,
+                      policer, ref_init)
 
 
 class TestInit:
@@ -46,6 +47,20 @@ class TestProcessTrace:
         halve = lambda buf, length, n: [length // 2] * n
         out = RefPipeline(1, halve).process_trace([Frame(bytes(range(100)))])
         assert out == [[bytes(range(50))]]
+
+    @pytest.mark.parametrize("payload", [b"", bytes(MAX_FRAME + 1), bytes(3000),
+                                         bytearray(b"x" * 64)],
+                             ids=["empty", "2049", "3000", "bytearray"])
+    def test_rejects_what_the_device_rejects(self, payload):
+        # the oracle and the device share one payload rule, so the oracle
+        # never forwards a frame the device cannot take, nor grows its buffer
+        with pytest.raises(ValueError) as device:
+            Nic(MemEnv()).inject_rx(Frame(payload))
+        pipe = RefPipeline(1, identity())
+        with pytest.raises(ValueError) as oracle:
+            pipe.process_trace([Frame(b"v" * 64), Frame(payload)])
+        assert str(oracle.value) == str(device.value)
+        assert len(pipe._buf) == MAX_FRAME
 
     def test_source_frames_untouched(self):
         payload = bytes(range(12)) * 2
