@@ -489,7 +489,7 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     not None or an integer of at least 0, or a due whose length is not
     len(frames). An entry of due that is not an integer (a bool included)
     or is smaller than the entry before it raises ValueError when the loop
-    first reaches it, before it can set the clock or a frame's stamp; the
+    first reaches it, before it can set the clock or inject the frame; the
     frames before it stay injected. Entries are checked one at a time, as
     the loop reads them, so a schedule costs no separate pass over it.
     """

@@ -24,11 +24,6 @@ frame enters the wire before the due step of the first one, so the bound
 counts only the device steps from then on. The check needs only the trace
 length, so a rejected probe costs no set-up: no schedule and no pipeline.
 Every other probe runs its whole schedule, as a plain load point does.
-
-Injection stamps a frame, so a run needs frames of its own. A search or a
-sweep copies a caller's trace once and stamps that one copy in every probe;
-a trace it generated itself is already private and is not copied.
-run_load_point copies the caller's trace for its one run.
 """
 
 from __future__ import annotations
@@ -163,28 +158,16 @@ def run_load_point(offered_load: int, frames: Sequence[Frame], nf: Processor | s
 
     Raises ValueError for an offered_load that is not a positive integer,
     an empty trace or a device_budget that is not an integer of at least 1.
-    The caller's frames are not stamped: the run injects a copy.
     """
-    result = _probe(offered_load, _private(frames), nf, ring_size, num_outputs,
-                    device_budget)
+    result = _probe(offered_load, frames, nf, ring_size, num_outputs, device_budget)
     assert result is not None  # without a loss bound a probe always runs in full
     return result
-
-
-def _private(frames: Sequence[Frame]) -> list[Frame]:
-    """Fresh unstamped frames with frames' payloads, for a run to stamp."""
-    return [Frame(f.payload) for f in frames]
 
 
 def _probe(offered_load: int, trace: Sequence[Frame], nf: Processor | str,
            ring_size: int, num_outputs: int, device_budget: int,
            loss_bound: float | None = None) -> LoadPointResult | None:
     """run_load_point's result, or None when its loss is bound to reach loss_bound.
-
-    Injection stamps the frames of trace, which must therefore belong to
-    the caller's search: every probe of one search stamps the same frames
-    again, which is safe because an emitted frame takes its stamps from
-    the device's per-buffer record and never refers to an injected one.
 
     With a loss bound the probe first bounds, at step 0, the measured
     frames output 0 can emit before the deadline: each one spends a
@@ -238,10 +221,7 @@ def _search_max_throughput(trace: Sequence[Frame], nf: Processor | str,
                            ring_size: int, num_outputs: int, loss_bound: float,
                            device_budget: int,
                            ) -> tuple[LoadPointResult, dict[int, LoadPointResult]]:
-    """The knee's result, plus every probe on the way that ran in full, by load.
-
-    Every probe stamps the frames of trace, which must be the caller's own.
-    """
+    """The knee's result, plus every probe on the way that ran in full, by load."""
     _check_loss_bound(loss_bound)
     _check_int(device_budget, "device budget", 1)
     measured: dict[int, LoadPointResult] = {}
@@ -273,23 +253,21 @@ def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
     loss stays under the bound.
 
     The trace is frames, or else gen_traffic(trace_length, packet_size, seed).
-    frames are not stamped: the search copies them once and every probe
-    stamps that copy. Binary search over the grid up to
-    MAX_LOAD_PER_BUDGET * device_budget. It guarantees that the returned
-    load was measured and passed, and that the next grid load up was shown
-    to fail, either at the step-0 check or in a full run; a failed probe's
-    row is never reported. The exception is a returned load at the top of
-    the grid. Loss is not always non-decreasing in offered load, so a
-    higher grid load may pass as well: with ("identity", 8, 2) and
-    device_budget=2 the search returns 592, loads 608 and 624 fail, and
-    640 to 672 lose nothing. Raises ValueError unless loss_bound is a
-    real number in (0, 1], not a bool, checked before any trace is built
-    or copied, and device_budget an integer of at least 1, and
-    NoSustainableLoad when even the lowest grid load loses too much.
+    Binary search over the grid up to MAX_LOAD_PER_BUDGET * device_budget.
+    It guarantees that the returned load was measured and passed, and that
+    the next grid load up was shown to fail, either at the step-0 check or
+    in a full run; a failed probe's row is never reported. The exception
+    is a returned load at the top of the grid. Loss is not always
+    non-decreasing in offered load, so a higher grid load may pass as
+    well: with ("identity", 8, 2) and device_budget=2 the search returns
+    592, loads 608 and 624 fail, and 640 to 672 lose nothing. Raises
+    ValueError unless loss_bound is a real number in (0, 1], not a bool,
+    checked before any trace is built, and device_budget an integer of at
+    least 1, and NoSustainableLoad when even the lowest grid load loses
+    too much.
     """
     _check_loss_bound(loss_bound)
-    trace = (gen_traffic(trace_length, packet_size, seed) if frames is None
-             else _private(frames))
+    trace = gen_traffic(trace_length, packet_size, seed) if frames is None else frames
     return _search_max_throughput(trace, nf, ring_size, num_outputs, loss_bound,
                                   device_budget)[0]
 
@@ -301,14 +279,13 @@ def run_sweep(nf: Processor | str, ring_size: int, num_outputs: int, step: int, 
               device_budget: int = DEVICE_BUDGET) -> list[LoadPointResult]:
     """Load points from step up to the discovered maximum, inclusive.
 
-    The trace is chosen, and a caller's frames copied once, as in
-    find_max_throughput; the further rows run on the same copy. The
-    maximum is appended as a final point when it is not a multiple of the
-    step. Points the search already measured are not run again.
+    The trace is chosen as in find_max_throughput, and the further rows
+    run on the same trace. The maximum is appended as a final point when
+    it is not a multiple of the step. Points the search already measured
+    are not run again.
     """
     _check_int(step, "sweep step", 1)
-    trace = (gen_traffic(trace_length, packet_size, seed) if frames is None
-             else _private(frames))
+    trace = gen_traffic(trace_length, packet_size, seed) if frames is None else frames
     best, measured = _search_max_throughput(trace, nf, ring_size, num_outputs,
                                             LOSS_BOUND, device_budget)
     loads = list(range(step, best.offered_load + 1, step))

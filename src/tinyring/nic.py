@@ -149,10 +149,11 @@ def ownership(head: int, tail: int, length: int) -> set[int]:
 class Frame:
     """One packet on the simulated wire.
 
-    inject_time and drain_time are simulated step counts; their difference
-    is the frame's in-simulation latency. order is the global injection
-    ordinal, carried through to emission so tests can check sequencing
-    without trusting payload contents.
+    Injection reads only payload. inject_time, order and drain_time are set
+    on emitted frames only: inject_time and drain_time are simulated step
+    counts, whose difference is the frame's in-simulation latency, and order
+    is the global injection ordinal, carried through to emission so tests
+    can check sequencing without trusting payload contents.
     """
 
     payload: bytes
@@ -177,12 +178,14 @@ class Link:
     def __init__(self, num_tx_queues: int) -> None:
         self.rx_pending: deque[Frame] = deque()
         self.tx_emitted: list[list[Frame]] = [[] for _ in range(num_tx_queues)]
+        # the step each frame entered the wire, indexed by its order
+        self.inject_times: list[int] = []
         self.injected = 0
         self.rx_delivered = 0
         self.rx_dropped = 0
-        # buffer phys addr -> (inject_time, order) of the frame last written
-        # there; lets emission carry timing through the zero-copy path.
-        self.buffer_meta: dict[int, tuple[int | None, int | None]] = {}
+        # buffer phys addr -> order of the frame last received there; lets
+        # emission carry the order and inject time through the zero-copy path.
+        self.buffer_meta: dict[int, int] = {}
 
 
 class _Ring:
@@ -304,11 +307,13 @@ class Nic:
     # -- link --------------------------------------------------------------
 
     def inject_rx(self, frame: Frame) -> None:
+        """Queue frame on the wire. Only its payload is read: the link
+        records the current step as the inject time of the next order."""
         _check_payload(frame.payload)
-        frame.inject_time = self.now
-        frame.order = self.link.injected
-        self.link.injected += 1
-        self.link.rx_pending.append(frame)
+        link = self.link
+        link.inject_times.append(self.now)
+        link.injected += 1
+        link.rx_pending.append(frame)
 
     def drain_tx(self, queue: int) -> list[Frame]:
         """Return and clear everything emitted on one output, in order."""
@@ -333,13 +338,18 @@ class Nic:
         the cursor where it was and no memory touched, which is what a lap
         over idle classes would leave.
 
-        A transmit completion emits a Frame carrying the (inject_time,
-        order) recorded when its buffer was received and the current step
-        as drain_time; length 0 emits nothing. The Frame is built with
-        object.__new__ and one store per field, not Frame(...), because
-        CPython enters a dataclass __init__ through a C call that it cannot
-        inline. Retiring an RS descriptor writes the new head to the
-        write-back address, if one is set.
+        A transmit completion emits a Frame carrying the order recorded
+        when its buffer was received, the inject time the link recorded for
+        that order, and the current step as drain_time; a buffer never
+        received into emits order and inject_time None, and length 0 emits
+        nothing. The device derives the order itself: the wire is FIFO and
+        a faulted receive puts its frame back uncounted, so the frame a
+        receive pops has order rx_delivered + rx_dropped. Injected frames
+        are never written. The emitted Frame is built with object.__new__
+        and one store per field, not Frame(...), because CPython enters a
+        dataclass __init__ through a C call that it cannot inline. Retiring
+        an RS descriptor writes the new head to the write-back address, if
+        one is set.
 
         A descriptor whose buffer runs past the DMA arena raises
         TranslationFault before the device writes or emits anything for
@@ -372,7 +382,7 @@ class Nic:
                     break
             else:
                 return 0
-        stamps = link.buffer_meta
+        orders, times = link.buffer_meta, link.inject_times
         emitted = link.tx_emitted
         mem, u64 = self._mem, self._u64
         classes, succ = self._classes, self._succ
@@ -407,7 +417,8 @@ class Nic:
                             # slot by slot: Frame(...) would enter a dataclass __init__ through a C call
                             frame = object.__new__(Frame)
                             frame.payload = shared
-                            frame.inject_time, frame.order = stamps.get(baddr, (None, None))
+                            order = frame.order = orders.get(baddr)
+                            frame.inject_time = None if order is None else times[order]
                             frame.drain_time = now
                             emitted[c - 1].append(frame)
                         u64[mi] = meta | META_DD
@@ -450,8 +461,8 @@ class Nic:
                             u64[mi] = n | META_EOP | META_DD
                             hi = -1
                             rx.head = (slot + 1) & rx.mask
+                            orders[baddr] = link.rx_delivered + link.rx_dropped
                             link.rx_delivered += 1
-                            stamps[baddr] = (frame.inject_time, frame.order)
                         done += 1
                         passed = 0
                     elif passed == classes:

@@ -1,6 +1,7 @@
 """Agent ring protocol: init, alternation, batching, recycling, forwarding."""
 
 import contextlib
+import dataclasses
 import hashlib
 import random
 import signal
@@ -490,22 +491,24 @@ class TestRun:
                           due=list(range(length)))
         assert (nic.now, nic.link.injected) == (0, 0)
 
-    @pytest.mark.parametrize("due,now,stamps", [
-        ([0, 10.5, 7], 0, [0, None, None]),
-        ([0, True, 2], 0, [0, None, None]),
-        ([0, 10, 7], 10, [0, 10, None]),
-        ([0.0, 1, 2], 0, [None, None, None]),
+    @pytest.mark.parametrize("due,now,inject_times", [
+        ([0, 10.5, 7], 0, [0]),
+        ([0, True, 2], 0, [0]),
+        ([0, 10, 7], 10, [0, 10]),
+        ([0.0, 1, 2], 0, []),
     ], ids=["float", "bool", "decreasing", "first"])
-    def test_invalid_due_entry_rejected(self, due, now, stamps):
+    def test_invalid_due_entry_rejected(self, due, now, inject_times):
         # 10.5 used to become the device clock and a decreasing entry was
         # injected late; the frames before the bad entry stay injected
         _, nic, agent = make(ring_size=16)
         frames = gen_traffic(3, 64, 5)
+        before = [dataclasses.astuple(f) for f in frames]
         with pytest.raises(ValueError, match=r"due\["):
             forward_trace(agent, frames, identity(), due=due)
         assert nic.now == now
-        assert [f.inject_time for f in frames] == stamps
-        assert nic.link.injected == len(stamps) - stamps.count(None)
+        assert nic.link.inject_times == inject_times
+        assert nic.link.injected == len(inject_times)
+        assert [dataclasses.astuple(f) for f in frames] == before
 
     def test_buffer_set_is_fixed(self):
         _, nic, agent = make(ring_size=64)
@@ -849,13 +852,17 @@ def test_timed_trace_resumes_across_deadline_segments(data):
         if segment is None:
             forward_trace(agent, frames, processor, budget, due=due, deadline=deadline)
         else:
-            # forward_trace's own stop test, checked where each segment ends
+            # forward_trace's own stop test, checked where each segment ends;
+            # a segment that does not end the run reaches its deadline, so a
+            # clock that stops fails here instead of spinning forever
             while nic.now < deadline and not (
                     link.injected == n and not link.rx_pending
                     and agent.processed == link.rx_delivered and agent.quiescent()):
                 k = link.injected
+                end = min(nic.now + segment, deadline)
                 forward_trace(agent, frames[k:], processor, budget, due=due[k:],
-                              deadline=min(nic.now + segment, deadline))
+                              deadline=end)
+                assert nic.now == end or link.injected == n
         return (nic.now, agent.processed, link.injected, link.rx_delivered,
                 link.rx_dropped, [[(f.order, f.inject_time, f.drain_time, f.payload)
                                    for f in nic.drain_tx(q)] for q in range(outputs)])
@@ -864,7 +871,11 @@ def test_timed_trace_resumes_across_deadline_segments(data):
 
 
 def plain_forward(agent, frames, processor, budget, due, deadline):
-    """forward_trace's timed mode without its clock jumps: every step is run."""
+    """forward_trace's timed mode without its clock jumps: every step is run.
+
+    Each step must advance the clock by one, so a device whose clock stops
+    fails here instead of spinning forever.
+    """
     nic = agent.nic
     link = nic.link
     n = len(frames)
@@ -873,7 +884,9 @@ def plain_forward(agent, frames, processor, budget, due, deadline):
         while k < n and due[k] <= nic.now:
             nic.inject_rx(frames[k])
             k += 1
+        now = nic.now
         nic.step_device(budget)
+        assert nic.now == now + 1
         count += agent.poll(processor)
         if (k == n and not link.rx_pending and agent.processed == link.rx_delivered
                 and agent.quiescent()):

@@ -1,5 +1,6 @@
 """Benchmark harness: traffic, pcap ingestion, load points, sweeps, CSV, CLI."""
 
+import dataclasses
 import io
 import math
 import pathlib
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 
 from tinyring import (CSV_HEADER, DRAIN_ALLOWANCE, MAX_FRAME, SEARCH_GRANULARITY,
                       Agent, Frame, LoadPointResult, MemEnv, Nic,
-                      NoSustainableLoad, PcapFormatError, find_max_throughput,
-                      gen_traffic, make_processor, parse_pcap, percentile,
-                      run_load_point, run_sweep, service_rate, write_csv)
+                      NoSustainableLoad, PcapFormatError, build_pipeline,
+                      find_max_throughput, forward_trace, gen_traffic, identity,
+                      make_processor, parse_pcap, percentile, run_load_point,
+                      run_sweep, service_rate, write_csv)
 from tinyring import bench
 from tinyring.bench import (DEFAULT_PACKET_SIZE, DEFAULT_TRACE_LENGTH, LOSS_BOUND,
                             MAX_LOAD_PER_BUDGET)
@@ -242,12 +244,21 @@ class TestRunLoadPoint:
         assert a == b
 
     def test_replay_does_not_mutate_source(self):
-        frames = gen_traffic(10, 64, 7)
+        # every entry point only reads the caller's frames, so one list
+        # serves any number of runs and a search run twice gives equal rows
+        frames = gen_traffic(40, 64, 7)
+        before = [dataclasses.astuple(f) for f in frames]
+        _, nic, agent = build_pipeline(64)
+        for f in frames:
+            nic.inject_rx(f)
+        agent.run(identity(), max_packets=len(frames))
+        forward_trace(build_pipeline(64)[2], frames, identity())
         run_load_point(100, frames, "identity", 256, 1)
-        # a search and a sweep stamp a copy of their own
-        find_max_throughput("identity", 256, 1, frames=frames)
-        run_sweep("identity", 256, 1, 100, frames=frames)
-        assert all(f.inject_time is None for f in frames)
+        best = find_max_throughput("identity", 256, 1, frames=frames)
+        rows = run_sweep("identity", 256, 1, 100, frames=frames)
+        assert [dataclasses.astuple(f) for f in frames] == before
+        assert find_max_throughput("identity", 256, 1, frames=frames) == best
+        assert run_sweep("identity", 256, 1, 100, frames=frames) == rows
 
     def test_device_step_count(self):
         # 400 frames, one every 10 steps. A frame leaves the pipeline
@@ -292,9 +303,10 @@ def naive_load_point(load, nf, ring_size, num_outputs, frames, device_budget):
     """The plain lockstep loop: inject what is due, step, poll, every step.
 
     Returns the result and the frames emitted on output 0, stamps included.
+    Each step must advance the clock by one, so a device whose clock stops
+    fails here instead of spinning forever.
     """
-    trace = [Frame(f.payload) for f in frames]
-    n = len(trace)
+    n = len(frames)
     env = MemEnv()
     nic = Nic(env, num_outputs)
     agent = Agent(env, nic, ring_size, num_outputs)
@@ -303,9 +315,11 @@ def naive_load_point(load, nf, ring_size, num_outputs, frames, device_budget):
     k = 0
     while nic.now < deadline:
         while k < n and k * 1000 // load <= nic.now:
-            nic.inject_rx(trace[k])
+            nic.inject_rx(frames[k])
             k += 1
+        now = nic.now
         nic.step_device(device_budget)
+        assert nic.now == now + 1
         agent.poll(processor)
         if (k == n and not nic.link.rx_pending
                 and agent.processed == nic.link.rx_delivered and agent.quiescent()):
@@ -462,7 +476,6 @@ class TestFindMax:
         def unreachable(*args):
             raise AssertionError("a trace was built before the loss bound was checked")
         monkeypatch.setattr(bench, "gen_traffic", unreachable)
-        monkeypatch.setattr(bench, "_private", unreachable)
         for frames in (None, gen_traffic(40, 64, 0)):
             with pytest.raises(ValueError, match="loss bound") as info:
                 find_max_throughput("identity", 8, 1, bound, frames=frames)
@@ -646,9 +659,9 @@ class TestRunSweep:
                                            frames=frames),
     ], ids=["run_sweep", "find_max_throughput"])
     @pytest.mark.parametrize("replayed", [False, True])
-    def test_one_private_trace_per_search(self, search, replayed):
-        # a caller's frames are copied once for every probe and row to stamp;
-        # a generated trace is not copied at all
+    def test_no_frame_beyond_the_generated_trace(self, search, replayed):
+        # every probe and row injects the caller's frames as they are; only
+        # a search given no frames builds any, the trace it generates
         frames = gen_traffic(400, 64, 3) if replayed else None
         made = []
         with pytest.MonkeyPatch.context() as mp:
@@ -657,7 +670,7 @@ class TestRunSweep:
                 return _frame(*args)
             mp.setattr(bench, "Frame", counting)
             search(frames)
-        assert len(made) == 400
+        assert len(made) == (0 if replayed else 400)
 
     def test_sweep_shape_and_conservation(self):
         results = run_sweep("identity", 256, 1, 100, trace_length=400)

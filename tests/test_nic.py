@@ -325,16 +325,55 @@ class TestDoorbell:
         assert nic.reg_read("RDT") == 0
 
 
+def emit_received(env, nic, tx, bufs, count):
+    """Transmit receive buffers 0..count-1, 64 bytes each, on transmit ring
+    tx (queue 0, head at slot 0) and return the frames it emits."""
+    for i in range(count):
+        U64.pack_into(env.dma, tx.phys_base + i * DESC_BYTES, bufs.phys_base + i * MAX_FRAME)
+        U64.pack_into(env.dma, tx.phys_base + i * DESC_BYTES + 8, 64)
+    nic.reg_write("TDT", count, 0)
+    for _ in range(count):
+        nic.step_device()
+    assert nic.reg_read("TDH", 0) == count
+    return nic.drain_tx(0)
+
+
 class TestLink:
     def test_inject_fifo(self):
         env = MemEnv()
         nic = Nic(env)
-        rx_ring(env, nic)
+        tx, _, _ = tx_ring(env, nic)
+        _, bufs = rx_ring(env, nic)
         a, b = Frame(b"a" * 64), Frame(b"b" * 64)
         nic.inject_rx(a)
         nic.inject_rx(b)
         assert list(nic.link.rx_pending) == [a, b]
-        assert (a.order, b.order) == (0, 1)
+        assert nic.link.inject_times == [0, 0]
+        nic.step_device()
+        nic.step_device()
+        out = emit_received(env, nic, tx, bufs, 2)
+        assert [(f.payload, f.order) for f in out] == [(a.payload, 0), (b.payload, 1)]
+
+    def test_a_frame_injected_again_is_a_new_packet(self):
+        # injection only reads the frame: the link records one inject time
+        # per order, so one Frame object injected twice before its first
+        # delivery, and once more after it, is emitted as orders 0, 1 and 2
+        env = MemEnv()
+        nic = Nic(env)
+        tx, _, _ = tx_ring(env, nic)
+        frame = Frame(b"t" * 64)
+        nic.inject_rx(frame)
+        nic.step_device()  # idle: the receive ring is not enabled yet
+        nic.inject_rx(frame)
+        _, bufs = rx_ring(env, nic)
+        nic.step_device()
+        nic.step_device()
+        nic.inject_rx(frame)
+        nic.step_device()
+        out = emit_received(env, nic, tx, bufs, 3)
+        assert [(f.order, f.inject_time) for f in out] == [(0, 0), (1, 1), (2, 3)]
+        assert dataclasses.astuple(frame) == (b"t" * 64, None, None, None)
+        assert nic.link.inject_times == [0, 1, 3]
 
     def test_inject_oversized(self):
         with pytest.raises(ValueError):

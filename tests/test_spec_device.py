@@ -6,7 +6,9 @@ the next class with work is found by a plain round-robin scan, every
 completion copies its payload afresh, arena bounds are checked explicitly
 and RS writes the new head back. One random program of register writes,
 hand-written descriptors, raw memory writes, injections and device steps
-drives both, and everything observable is compared after every step. The
+drives both, and everything observable is compared after every step; the
+injections now and then inject a Frame object again, so injection must
+leave the caller's frame alone and count each injection as its own. The
 register writes also move disabled rings to a new base and length, so the
 geometry the device caches when a ring is enabled is checked against a
 spec that reads the registers afresh at every completion.
@@ -19,6 +21,7 @@ example count comes from the active hypothesis profile; the ``deep``
 profile in conftest.py runs ten times the default.
 """
 
+import dataclasses
 import random
 from collections import deque
 
@@ -43,16 +46,18 @@ class SpecDevice:
         self.classes = 1 + num_tx_queues  # class 0 is receive, 1 + q is transmit q
         self.cursor = 0
         self.now = 0
-        self.wire = deque()
+        self.wire = deque()  # payloads; the frame at the front has order delivered + dropped
+        self.inject_times = []  # the step each frame entered the wire, by order
         self.emitted = [[] for _ in range(num_tx_queues)]
-        self.stamps = {}  # buffer address -> (inject_time, order) last written there
+        self.stamps = {}  # buffer address -> order of the frame last received there
         self.injected = self.delivered = self.dropped = 0
 
     def reg_write(self, name, value, queue):
         self.regs[name, queue] = int(bool(value)) if name in ("RXEN", "TXEN") else value
 
     def inject(self, payload):
-        self.wire.append(Frame(payload, self.now, None, self.injected))
+        self.wire.append(payload)
+        self.inject_times.append(self.now)
         self.injected += 1
 
     def has_work(self, c):
@@ -87,22 +92,23 @@ class SpecDevice:
         self.arena[addr:addr + size] = value.to_bytes(size, "little")
 
     def serve_rx(self):
-        frame = self.wire.popleft()
+        order = self.delivered + self.dropped
+        payload = self.wire.popleft()
         head = self.regs["RDH", 0]
         if head == self.regs["RDT", 0]:
             self.dropped += 1
             return
         daddr = self.regs["RDBA", 0] + head * DESC_BYTES
         addr = decode_descriptor(bytes(self.arena[daddr:daddr + DESC_BYTES])).buffer_addr
-        n = len(frame.payload)
+        n = len(payload)
         if addr + n > len(self.arena):
-            self.wire.appendleft(frame)
+            self.wire.appendleft(payload)
             raise TranslationFault("receive buffer outside the arena")
-        self.arena[addr:addr + n] = frame.payload
+        self.arena[addr:addr + n] = payload
         self.set_word(daddr + 8, 8, n | META_EOP | META_DD)
         self.regs["RDH", 0] = (head + 1) % self.regs["RDLEN", 0]
         self.delivered += 1
-        self.stamps[addr] = (frame.inject_time, frame.order)
+        self.stamps[addr] = order
 
     def serve_tx(self, q):
         daddr = self.regs["TDBA", q] + self.regs["TDH", q] * DESC_BYTES
@@ -111,7 +117,8 @@ class SpecDevice:
             end = desc.buffer_addr + desc.length
             if end > len(self.arena):
                 raise TranslationFault("transmit buffer outside the arena")
-            inject_time, order = self.stamps.get(desc.buffer_addr, (None, None))
+            order = self.stamps.get(desc.buffer_addr)
+            inject_time = None if order is None else self.inject_times[order]
             payload = bytes(self.arena[desc.buffer_addr:end])
             self.emitted[q].append(Frame(payload, inject_time, self.now, order))
         self.set_word(daddr + 8, 8, self.word(daddr + 8, 8) | META_DD)
@@ -201,14 +208,18 @@ def frames(fs):
     return [(f.payload, f.inject_time, f.drain_time, f.order) for f in fs]
 
 
-def assert_same(env, nic, spec):
+def assert_same(env, nic, spec, injected):
+    """Everything observable matches, and every Frame object the program
+    injected still holds only its payload."""
     assert bytes(env.dma) == bytes(spec.arena)
     assert {key: nic.reg_read(*key) for key in spec.regs} == spec.regs
     link = nic.link
     assert ((link.injected, link.rx_delivered, link.rx_dropped, nic.now)
             == (spec.injected, spec.delivered, spec.dropped, spec.now))
-    assert frames(link.rx_pending) == frames(spec.wire)
+    assert [f.payload for f in link.rx_pending] == list(spec.wire)
+    assert link.inject_times == spec.inject_times
     assert link.buffer_meta == spec.stamps
+    assert all(dataclasses.astuple(f)[1:] == (None, None, None) for f in injected)
     for q, want in enumerate(spec.emitted):
         assert frames(nic.drain_tx(q)) == frames(want)
         want.clear()
@@ -238,6 +249,7 @@ def test_step_device_matches_spec(seed):
     rng = random.Random(seed)
     env, nic, spec = build(rng)
     rings = 1 + nic.num_tx_queues
+    injected = []  # every Frame object injected, each once
     for op in rng.choices(OPS, weights=(4, 3, 1, 1, 1, 2, 1), k=rng.randint(40, 100)):
         ring = rng.randrange(rings)
         prefix, queue = ("R", 0) if ring == 0 else ("T", ring - 1)
@@ -245,7 +257,7 @@ def test_step_device_matches_spec(seed):
         if op == "step":
             budget = rng.randint(1, 5)
             assert outcome(nic.step_device, budget) == outcome(spec.step, budget)
-            assert_same(env, nic, spec)
+            assert_same(env, nic, spec, injected)
         elif op == "publish":  # hand the device up to 7 more descriptors
             # a disabled ring may hold length 0; the device then rejects any tail
             tail = (spec.regs[prefix + "DT", queue] + rng.randint(1, 7)) % max(length, 1)
@@ -277,11 +289,15 @@ def test_step_device_matches_spec(seed):
             at = spec.regs[prefix + "DBA", queue] + rng.randrange(max(length, 1)) * DESC_BYTES
             if at + DESC_BYTES <= ARENA:
                 write(env, spec, at, raw)
-        elif op == "inject":
+        elif op == "inject":  # now and then a Frame object injected before, maybe still on the wire
             for _ in range(rng.randint(1, 4)):
-                payload = rng.randbytes(rng.randint(1, 300))
-                nic.inject_rx(Frame(payload))
-                spec.inject(payload)
+                if injected and rng.random() < 0.3:
+                    frame = rng.choice(injected)
+                else:
+                    frame = Frame(rng.randbytes(rng.randint(1, 300)))
+                    injected.append(frame)
+                nic.inject_rx(frame)
+                spec.inject(frame.payload)
         else:
             addr = rng.choice([512, 520, 600, 1024, rng.randrange(512, ARENA)])
             write(env, spec, addr, rng.randbytes(min(rng.randint(1, 16), ARENA - addr)))
