@@ -18,12 +18,12 @@ descriptors are lost the same way. The first 10% of the trace warms the
 pipeline up and is excluded from all statistics. Latency is drain step
 minus inject step; percentiles are nearest-rank (the 50th of [1, 2, 3, 4]
 is 2). One deterministic trial per load point; all points share one trace.
-The knee search rejects a probe at step 0 when the frames output 0 could
-emit before the deadline cannot bring its loss under the bound. No measured
-frame enters the wire before the due step of the first one, so the bound
-counts only the device steps from then on. The check needs only the trace
-length, so a rejected probe costs no set-up: no schedule and no pipeline.
-Every other probe runs its whole schedule, as a plain load point does.
+The knee search rejects a grid load at step 0 when the frames output 0
+could emit before the deadline cannot bring its loss under the bound. No
+measured frame enters the wire before the due step of the first one, so
+the bound counts only the device steps from then on. The check needs only
+the trace length, so a rejected load costs no set-up: no schedule and no
+pipeline. Every other load the search tries is one run_load_point call.
 """
 
 from __future__ import annotations
@@ -151,56 +151,38 @@ def parse_pcap(data: bytes) -> list[Frame]:
 
 # -- measurement --------------------------------------------------------------
 
+def _deadline_and_warm(offered_load: int, n: int) -> tuple[int, int]:
+    """The step an n-frame load point stops at, and its warm-up frame count."""
+    # the last frame's due step + 1 + the drain allowance
+    return (n - 1) * 1000 // offered_load + 1 + DRAIN_ALLOWANCE, n // WARMUP_FRACTION
+
+
 def run_load_point(offered_load: int, frames: Sequence[Frame], nf: Processor | str,
                    ring_size: int, num_outputs: int, *,
                    device_budget: int = DEVICE_BUDGET) -> LoadPointResult:
     """Measure one load point: inject frames at offered_load on a fresh pipeline.
 
-    Raises ValueError for an offered_load that is not a positive integer,
-    an empty trace or a device_budget that is not an integer of at least 1.
-    """
-    result = _probe(offered_load, frames, nf, ring_size, num_outputs, device_budget)
-    assert result is not None  # without a loss bound a probe always runs in full
-    return result
-
-
-def _probe(offered_load: int, trace: Sequence[Frame], nf: Processor | str,
-           ring_size: int, num_outputs: int, device_budget: int,
-           loss_bound: float | None = None) -> LoadPointResult | None:
-    """run_load_point's result, or None when its loss is bound to reach loss_bound.
-
-    With a loss bound the probe first bounds, at step 0, the measured
-    frames output 0 can emit before the deadline: each one spends a
-    receive unit and a transmit unit, and none is on the wire before
-    first, the due step of the first measured frame, so at most
-    (deadline - first) * device_budget // 2 of them arrive. When the loss
-    even that leaves is at least loss_bound, the full run would fail, and
-    the probe returns None. The check needs only the trace length, so it
-    runs before any set-up: every argument is checked first, and a
-    rejected probe builds neither the schedule nor the pipeline. A probe
-    that passes the check runs in full, as one without a bound does.
+    Raises ValueError, before it builds anything, for an offered_load that
+    is not a positive integer, an empty trace, an unknown network function,
+    a bad ring geometry or a device_budget that is not an integer of at
+    least 1.
     """
     _check_int(offered_load, "offered load", 1)
-    if not trace:
+    if not frames:
         raise ValueError("the trace is empty")
     processor = make_processor(nf) if isinstance(nf, str) else nf
     _check_geometry(ring_size, num_outputs)
     _check_int(device_budget, "device budget", 1)
-    n = len(trace)
-    deadline = (n - 1) * 1000 // offered_load + 1 + DRAIN_ALLOWANCE  # the last due step + 1 + ...
-    warm = n // WARMUP_FRACTION
-    measured = n - warm
-    if loss_bound is not None:
-        first = warm * 1000 // offered_load  # the due step of the first measured frame
-        if (measured - (deadline - first) * device_budget // 2) / measured >= loss_bound:
-            return None
+    n = len(frames)
+    deadline, warm = _deadline_and_warm(offered_load, n)
     due = [k * 1000 // offered_load for k in range(n)]
     _env, nic, agent = build_pipeline(ring_size, num_outputs)
-    forward_trace(agent, trace, processor, device_budget, due=due, deadline=deadline)
+    forward_trace(agent, frames, processor, device_budget, due=due, deadline=deadline)
     # sorted once, so both percentile calls sort sorted input
     latencies = [f.drain_time - f.inject_time for f in nic.drain_tx(0) if f.order >= warm]
     latencies.sort()
     delivered = len(latencies)
+    measured = n - warm
     lost = measured - delivered
     return LoadPointResult(offered_load, delivered, lost, lost / measured,
                            percentile(latencies, 50), percentile(latencies, 99))
@@ -210,19 +192,34 @@ class NoSustainableLoad(ValueError):
     """No load on the search grid keeps loss under the bound."""
 
 
-def _check_loss_bound(loss_bound: float) -> None:
-    """Raise ValueError unless loss_bound is a real number in (0, 1], not a bool."""
-    if (isinstance(loss_bound, bool) or not isinstance(loss_bound, Real)
-            or not 0 < loss_bound <= 1):
-        raise ValueError(f"loss bound must be a real number in (0, 1], got {loss_bound!r}")
+def _rejected_at_step_0(offered_load: int, n: int, device_budget: int,
+                        loss_bound: float) -> bool:
+    """Whether an n-frame load point's loss is bound to reach loss_bound.
+
+    Each measured frame output 0 emits spends a receive unit and a
+    transmit unit, and none is on the wire before first, the due step of
+    the first measured frame, so at most (deadline - first) *
+    device_budget // 2 of them arrive before the deadline. The load is
+    rejected when the loss even that leaves is at least loss_bound.
+    """
+    deadline, warm = _deadline_and_warm(offered_load, n)
+    measured = n - warm
+    first = warm * 1000 // offered_load
+    return (measured - (deadline - first) * device_budget // 2) / measured >= loss_bound
 
 
 def _search_max_throughput(trace: Sequence[Frame], nf: Processor | str,
                            ring_size: int, num_outputs: int, loss_bound: float,
                            device_budget: int,
                            ) -> tuple[LoadPointResult, dict[int, LoadPointResult]]:
-    """The knee's result, plus every probe on the way that ran in full, by load."""
-    _check_loss_bound(loss_bound)
+    """The knee's result, plus every load on the way that ran in full.
+
+    A grid load _rejected_at_step_0 has failed and builds nothing; every
+    other one is a run_load_point call, which checks the remaining
+    arguments (an empty trace among them) before it builds anything. Load
+    SEARCH_GRANULARITY is never rejected, and a search that finds nothing
+    tries it, so a bad argument raises ValueError, not NoSustainableLoad.
+    """
     _check_int(device_budget, "device budget", 1)
     measured: dict[int, LoadPointResult] = {}
     ceiling = MAX_LOAD_PER_BUDGET * device_budget
@@ -230,9 +227,9 @@ def _search_max_throughput(trace: Sequence[Frame], nf: Processor | str,
     while lo < hi:
         mid = (lo + hi + 1) // 2
         load = mid * SEARCH_GRANULARITY
-        res = _probe(load, trace, nf, ring_size, num_outputs, device_budget, loss_bound)
-        if res is not None:
-            measured[load] = res
+        if not (trace and _rejected_at_step_0(load, len(trace), device_budget, loss_bound)):
+            res = measured[load] = run_load_point(load, trace, nf, ring_size, num_outputs,
+                                                  device_budget=device_budget)
             if res.loss_fraction < loss_bound:
                 lo = mid
                 continue
@@ -266,7 +263,9 @@ def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
     least 1, and NoSustainableLoad when even the lowest grid load loses
     too much.
     """
-    _check_loss_bound(loss_bound)
+    if (isinstance(loss_bound, bool) or not isinstance(loss_bound, Real)
+            or not 0 < loss_bound <= 1):
+        raise ValueError(f"loss bound must be a real number in (0, 1], got {loss_bound!r}")
     trace = gen_traffic(trace_length, packet_size, seed) if frames is None else frames
     return _search_max_throughput(trace, nf, ring_size, num_outputs, loss_bound,
                                   device_budget)[0]
@@ -293,7 +292,8 @@ def run_sweep(nf: Processor | str, ring_size: int, num_outputs: int, step: int, 
         loads.append(best.offered_load)
     for load in loads:
         if load not in measured:
-            measured[load] = _probe(load, trace, nf, ring_size, num_outputs, device_budget)
+            measured[load] = run_load_point(load, trace, nf, ring_size, num_outputs,
+                                            device_budget=device_budget)
     return [measured[load] for load in loads]
 
 

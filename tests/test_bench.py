@@ -384,12 +384,12 @@ frame_lists = st.one_of(
        outputs=st.integers(1, 4), budget=st.integers(1, 3),
        nf=st.sampled_from(["identity", "macswap", "policer"]), frames=frame_lists)
 # heavy overloads that lose about half the measured frames: rejected at
-# step 0 under LOSS_BOUND, and run in full under a bound just above that loss
+# step 0 under LOSS_BOUND, and not under a bound just above that loss
 @example(load=1479, ring=256, outputs=2, budget=1, nf="identity",
          frames=gen_traffic(65, 578, 7))
 @example(load=1145, ring=4, outputs=4, budget=1, nf="identity",
          frames=gen_traffic(36, 467, 2))
-# probes that fail at step 0 only because no measured frame enters before
+# loads rejected at step 0 only because no measured frame enters before
 # the first one's due step: 176 and 171 of 180 measured frames can arrive
 # from it, against 192 and 182 from step 0
 @example(load=620, ring=256, outputs=1, budget=1, nf="identity",
@@ -397,16 +397,41 @@ frame_lists = st.one_of(
 @example(load=1700, ring=16, outputs=3, budget=2, nf="macswap",
          frames=gen_traffic(200, 300, 4))
 def test_early_stop_is_sound(load, ring, outputs, budget, nf, frames):
-    # A search probe returns run_load_point's row, or stops at step 0 only
-    # at a load whose full row fails the bound. A bound just above the full
-    # row's loss is the tightest case a sound stop must not trip over.
+    # The search rejects a load at step 0 only when its full run_load_point
+    # row fails the bound. A bound just above the full row's loss is the
+    # tightest case a sound rejection must not trip over.
     full = run_load_point(load, frames, nf, ring, outputs, device_budget=budget)
     for bound in LOSS_BOUND, math.nextafter(full.loss_fraction, 2):
-        got = bench._probe(load, frames, nf, ring, outputs, budget, bound)
-        if got is None:
+        if bench._rejected_at_step_0(load, len(frames), budget, bound):
             assert full.loss_fraction >= bound
-        else:
-            assert got == full
+
+
+def test_lowest_grid_load_is_never_rejected_at_step_0():
+    # The search's argument checks rest on this. A search that finds
+    # nothing runs the lowest grid load in full, and that run_load_point
+    # call checks every argument before it builds anything. Even the
+    # smallest positive bound does not reject it: at that load at least
+    # measured + 1 frames can arrive.
+    tiny = math.ulp(0.0)
+    assert not any(bench._rejected_at_step_0(SEARCH_GRANULARITY, n, budget, tiny)
+                   for n in range(1, 5001) for budget in range(1, 5))
+
+
+def test_every_full_probe_goes_through_the_public_name(monkeypatch):
+    # the search and the sweep measure by the module-level name, so a
+    # wrapper around bench.run_load_point sees every full run
+    loads = []
+
+    def recorder(load, *args, _run=bench.run_load_point, **kw):
+        loads.append(load)
+        return _run(load, *args, **kw)
+    monkeypatch.setattr(bench, "run_load_point", recorder)
+    rows = run_sweep("identity", 256, 1, 100)
+    assert loads == [496, 100, 200, 300, 400]
+    assert [r.offered_load for r in rows] == [100, 200, 300, 400, 496]
+    loads.clear()
+    find_max_throughput("identity", 256, 1)
+    assert loads == [496]  # 752, 624, 560, 528 and 512 are rejected at step 0
 
 
 def reference_search(frames, nf, ring, outputs, budget):
@@ -468,8 +493,6 @@ class TestFindMax:
         with pytest.raises(ValueError, match="loss bound") as info:
             find_max_throughput("identity", 8, 1, bound, frames=frames)
         assert not isinstance(info.value, NoSustainableLoad)
-        with pytest.raises(ValueError, match="loss bound"):
-            bench._search_max_throughput(frames, "identity", 8, 1, bound, 1)
 
     @pytest.mark.parametrize("bound", [True, "0.1", None, 1j])
     def test_non_real_loss_bound_rejected_before_any_trace(self, bound, monkeypatch):
@@ -546,11 +569,9 @@ class TestFindMax:
 
 
 class TestProbeSetUp:
-    """A knee-search probe that fails its step-0 check returns before it
-    builds a pipeline, and still checks every argument first; one that
-    passes runs in full."""
-
-    FAILS_AT_STEP_0 = 1000  # 2000 frames: at most 932 of 1800 measured can arrive
+    """A grid load the knee search rejects at step 0 builds no pipeline,
+    one that passes the check runs in full, and a bad argument is still
+    a ValueError raised before any pipeline is built."""
 
     def counted_builds(self, mp):
         builds = []
@@ -577,11 +598,10 @@ class TestProbeSetUp:
     def test_default_sweep_probes_fail_at_step_0(self, load):
         # 1800 measured frames due from step 390 (512) or 378 (528), deadline
         # 3969 or 3850: at most 1789 or 1736 can arrive, against 1984 and
-        # 1925 counted from step 0, which let both probes build and run
-        frames = gen_traffic(DEFAULT_TRACE_LENGTH, DEFAULT_PACKET_SIZE, 0)
+        # 1925 counted from step 0, which let both loads build and run
         with pytest.MonkeyPatch.context() as mp:
             builds = self.counted_builds(mp)
-            assert bench._probe(load, frames, "identity", 256, 1, 1, LOSS_BOUND) is None
+            assert bench._rejected_at_step_0(load, DEFAULT_TRACE_LENGTH, 1, LOSS_BOUND)
         assert builds == []
 
     def test_first_check_is_inclusive(self):
@@ -590,35 +610,35 @@ class TestProbeSetUp:
         builds = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bench, "build_pipeline", lambda *a: builds.append(a))
-            assert bench._probe(517, gen_traffic(1111, 64, 0), "identity", 256, 1, 1,
-                                LOSS_BOUND) is None
+            assert bench._rejected_at_step_0(517, 1111, 1, LOSS_BOUND)
         assert builds == []
 
     def test_first_check_counts_from_the_first_measured_due_step(self):
         # 100 frames at load 768: 90 measured due from step 13, deadline 193,
-        # so at most 90 can arrive; the probe may pass and must run
+        # so at most 90 can arrive; the load may pass and must not be rejected
         with pytest.MonkeyPatch.context() as mp:
             builds = self.counted_builds(mp)
-            bench._probe(768, gen_traffic(100, 64, 0), "identity", 256, 1, 1,
-                         LOSS_BOUND)
-        assert len(builds) == 1
+            assert not bench._rejected_at_step_0(768, 100, 1, LOSS_BOUND)
+        assert builds == []
 
     def test_a_probe_that_passes_the_first_check_runs_in_full(self):
         # 300 frames at load 560: 270 measured due from step 53, deadline
-        # 598. The step-0 check passes (at most 272 can arrive), so the probe
-        # runs its whole schedule in one forward_trace call, and that run's
-        # loss decides the search
+        # 598. The step-0 check passes (at most 272 can arrive), so the
+        # search runs the load's whole schedule in one forward_trace call,
+        # and that run's loss decides the search: it settles at 544. The
+        # other full runs are 496 (deadline 667), 528 (631) and 544 (614)
         frames = gen_traffic(300, 64, 0)
+        assert not bench._rejected_at_step_0(560, 300, 1, LOSS_BOUND)
         runs = []
         with pytest.MonkeyPatch.context() as mp:
             def run(*args, _forward=bench.forward_trace, **kw):
                 runs.append(kw["deadline"])
                 return _forward(*args, **kw)
             mp.setattr(bench, "forward_trace", run)
-            got = bench._probe(560, frames, "identity", 256, 1, 1, LOSS_BOUND)
-        assert runs == [598]
-        assert got == run_load_point(560, frames, "identity", 256, 1)
-        assert got.loss_fraction >= LOSS_BOUND
+            best = find_max_throughput("identity", 256, 1, frames=frames)
+        assert runs == [667, 598, 631, 614]
+        assert best.offered_load == 544
+        assert run_load_point(560, frames, "identity", 256, 1).loss_fraction >= LOSS_BOUND
 
     @pytest.mark.parametrize("load", [700, 900, 1000])
     def test_overloaded_deadline_matches_naive_loop(self, load):
@@ -637,10 +657,33 @@ class TestProbeSetUp:
     ])
     def test_arguments_checked_before_the_first_check(self, ring, outputs, budget, nf,
                                                       what):
+        # the search checks the budget itself; its first full run checks
+        # the rest before it builds anything
         frames = gen_traffic(2000, 64, 0)
-        with pytest.raises(ValueError, match=what):
-            bench._probe(self.FAILS_AT_STEP_0, frames, nf, ring, outputs, budget,
-                         LOSS_BOUND)
+        with pytest.MonkeyPatch.context() as mp:
+            builds = self.counted_builds(mp)
+            for search in (lambda: find_max_throughput(nf, ring, outputs, frames=frames,
+                                                       device_budget=budget),
+                           lambda: run_sweep(nf, ring, outputs, 100, frames=frames,
+                                             device_budget=budget)):
+                with pytest.raises(ValueError, match=what) as info:
+                    search()
+                assert not isinstance(info.value, NoSustainableLoad)
+        assert builds == []
+
+    @pytest.mark.parametrize("ring, nf, what", [
+        (6, "identity", "power of two"),
+        (256, "firewall", "network function"),
+    ])
+    def test_bad_argument_after_a_load_rejected_at_step_0(self, ring, nf, what):
+        # 20000 frames on budget 2: the first grid load tried, 1008, is
+        # rejected without a look at the other arguments; the next, 496,
+        # runs in full and raises
+        frames = gen_traffic(20000, 64, 0)
+        assert bench._rejected_at_step_0(1008, len(frames), 2, LOSS_BOUND)
+        with pytest.raises(ValueError, match=what) as info:
+            find_max_throughput(nf, ring, 1, frames=frames, device_budget=2)
+        assert not isinstance(info.value, NoSustainableLoad)
 
     @pytest.mark.parametrize("ring, outputs", [(6, 1), (256, 9)])
     def test_search_and_sweep_reject_bad_geometry(self, ring, outputs):
