@@ -2,9 +2,12 @@
 rings over a shared buffer set.
 
 Every ring uses the same slot index space and every transmit ring's slot i
-points at the same buffer as receive slot i, so a packet moves from wire to
-wire without copies: the agent reads the done bit, runs the processor in
-place, and writes fresh transmit metadata. Packets are handled strictly in
+points at the same buffer as receive slot i, so the agent copies no packet:
+it reads the done bit, runs the processor in place, and writes fresh
+transmit metadata. The device copies none either when a packet leaves
+unchanged: every output emits the bytes object that was injected. A packet
+the processor changed is copied once, at its first completion, and every
+output shares that copy (Nic.step_device). Packets are handled strictly in
 order, one at a time; a per-output length of 0 tells the device to retire
 the descriptor without emitting anything.
 

@@ -222,6 +222,10 @@ class Nic:
     def __init__(self, env: MemEnv, num_tx_queues: int = 1) -> None:
         _check_int(num_tx_queues, "transmit queue count", 1, MAX_QUEUES)
         self._mem = env.dma
+        self._arena = env.dma.obj  # the bytearray itself, for in-place startswith
+        # buffer phys addr -> the payload last received into that buffer or
+        # copied out of it; a completion emits it when memory still holds it
+        self._payloads: dict[int, bytes] = {}
         self._u64 = env.dma.cast("Q")  # descriptor words, index = address >> 3
         self._u32 = env.dma.cast("I")  # head write-back words, index = address >> 2
         self.num_tx_queues = num_tx_queues
@@ -361,14 +365,18 @@ class Nic:
         served earlier in the step stay applied, and the cursor stays on
         the faulted class, so the next step serves it first.
 
-        Completions of the same bytes within one step share one payload
-        object: a completion that reads the buffer address and length the
-        last copy read reuses that bytes object, unless a receive delivery
-        came since, or a done bit or head write-back has overlapped the
-        copied range since. Nothing else writes memory during a step, so
-        each payload still holds exactly the bytes in memory at its own
-        completion. Payloads are immutable bytes, so callers cannot tell a
-        shared one from a fresh copy.
+        Emission copies a buffer only when its bytes changed. The device
+        records, per buffer address, the payload object last received into
+        that buffer or copied out of it. A completion emits that object when
+        its length is the descriptor's and the arena still holds it at the
+        buffer address, checked in place (bytearray.startswith, a memcmp
+        with no allocation); otherwise it copies the buffer and records the
+        copy. Each payload therefore holds exactly the bytes in memory at
+        its own completion, whatever wrote them, and a packet forwarded
+        unchanged is emitted as the bytes object that was injected. The
+        record holds one object per buffer address the device has received
+        into or emitted from. Payloads are immutable bytes, so callers
+        cannot tell a shared one from a fresh copy.
         """
         rings = self._rings
         rx = rings[0]
@@ -388,11 +396,9 @@ class Nic:
         orders, times = link.buffer_meta, link.inject_times
         emitted = link.tx_emitted
         mem, u64 = self._mem, self._u64
+        arena, payloads = self._arena, self._payloads
         classes, succ = self._classes, self._succ
         c = self._rr  # class 0 is RX, 1 + q is TX q
-        # shared is the last payload copied this step and [lo, hi) the range
-        # it was copied from; hi == -1 means there is no copy to share.
-        lo = hi = -1
         # passed counts the idle classes visited since the last served one.
         # Once it reaches classes, a full idle lap has brought the cursor back
         # to the class the lap began on; that class was idle then and nothing
@@ -409,31 +415,26 @@ class Nic:
                         length = meta & META_LEN_MASK
                         if length:
                             baddr = u64[mi - 1]
-                            end = baddr + length
-                            if baddr != lo or end != hi:
-                                shared = mem[baddr:end].tobytes()
-                                if len(shared) != length:  # the slice stopped at the arena's end
+                            payload = payloads.get(baddr, b"")
+                            if len(payload) != length or not arena.startswith(payload, baddr):
+                                payload = mem[baddr:baddr + length].tobytes()
+                                if len(payload) != length:  # the slice stopped at the arena's end
                                     raise TranslationFault(f"transmit queue {c - 1} slot {slot}: "
                                                            f"buffer {baddr:#x}+{length} lies "
                                                            f"outside the DMA arena")
-                                lo, hi = baddr, end
+                                payloads[baddr] = payload
                             # slot by slot: Frame(...) would enter a dataclass __init__ through a C call
                             frame = object.__new__(Frame)
-                            frame.payload = shared
+                            frame.payload = payload
                             order = frame.order = orders.get(baddr)
                             frame.inject_time = None if order is None else times[order]
                             frame.drain_time = now
                             emitted[c - 1].append(frame)
                         u64[mi] = meta | META_DD
-                        if 8 * mi < hi and lo < 8 * mi + 8:
-                            hi = -1
                         slot = (slot + 1) & ring.mask
                         ring.head = slot
                         if meta & META_RS and ring.wb:
-                            wb = ring.wb
-                            self._u32[wb >> 2] = slot
-                            if wb < hi and lo < wb + 4:
-                                hi = -1
+                            self._u32[ring.wb >> 2] = slot
                         done += 1
                         passed = 0
                     elif passed == classes:
@@ -462,7 +463,7 @@ class Nic:
                                                        f"DMA arena") from None
                             # payload first, then the whole metadata word: the publish order
                             u64[mi] = n | META_EOP | META_DD
-                            hi = -1
+                            payloads[baddr] = payload
                             rx.head = (slot + 1) & rx.mask
                             orders[baddr] = link.rx_delivered + link.rx_dropped
                             link.rx_delivered += 1

@@ -717,25 +717,56 @@ class TestFaultInjection:
 
 # Distinct payload objects emitted when flow-controlled identity forwards
 # 200 frames each of 64, 576 and 1500 bytes, per (ring, outputs, budget).
-# Mirrored completions of one buffer within one device step share a payload,
-# which the spec device cannot see. A change to the service loop may lower a
-# count but not raise it: a rise means mirrored outputs stopped sharing.
-SHARED_PAYLOADS = {(64, 4, 5): 605, (64, 4, 3): 1200, (8, 2, 3): 750,
-                   (256, 3, 4): 604, (16, 4, 1): 2400}
+# A packet forwarded unchanged is emitted on every output as the bytes
+# object that was injected, whatever step each completion falls in, so each
+# configuration emits one object per frame: 600. The spec device cannot see
+# sharing. A count above 600 means some completion copied a buffer whose
+# bytes had not changed.
+SHARED_PAYLOADS = {(64, 4, 5): 600, (64, 4, 3): 600, (8, 2, 3): 600,
+                   (256, 3, 4): 600, (16, 4, 1): 600}
+
+
+def forward_three_sizes(ring, outputs, budget, factory):
+    """Flow-controlled forwarding of 200 frames each of 64, 576 and 1500
+    bytes; returns the frames, every output's emission and the oracle's."""
+    _, nic, agent = make(ring, outputs)
+    frames = [f for size in (64, 576, 1500) for f in gen_traffic(200, size, size)]
+    forward_trace(agent, frames, factory(), budget)
+    want = RefPipeline(outputs, factory()).process_trace(frames)
+    return frames, [nic.drain_tx(q) for q in range(outputs)], want
 
 
 @pytest.mark.parametrize("ring,outputs,budget", sorted(SHARED_PAYLOADS))
 def test_mirrored_payloads_shared(ring, outputs, budget):
-    _, nic, agent = make(ring, outputs)
-    frames = [f for size in (64, 576, 1500) for f in gen_traffic(200, size, size)]
-    forward_trace(agent, frames, identity(), budget)
+    frames, outs, _ = forward_three_sizes(ring, outputs, budget, identity)
     sent = [f.payload for f in frames]
     payloads = []
-    for q in range(outputs):
-        out = [f.payload for f in nic.drain_tx(q)]
-        assert out == sent
-        payloads += out
+    for out in outs:
+        got = [f.payload for f in out]
+        assert got == sent
+        payloads += got
     assert len({id(p) for p in payloads}) <= SHARED_PAYLOADS[ring, outputs, budget]
+
+
+@pytest.mark.parametrize("factory", [identity, lambda: policer(100)],
+                         ids=["identity", "policer"])
+@pytest.mark.parametrize("ring,outputs,budget", sorted(SHARED_PAYLOADS))
+def test_unchanged_payloads_are_the_injected_ones(ring, outputs, budget, factory):
+    frames, outs, want = forward_three_sizes(ring, outputs, budget, factory)
+    for out, expected in zip(outs, want):
+        assert [f.payload for f in out] == expected
+        assert all(f.payload is frames[f.order].payload for f in out)
+
+
+@pytest.mark.parametrize("ring,outputs,budget", sorted(SHARED_PAYLOADS))
+def test_changed_payload_copied_once(ring, outputs, budget):
+    _, outs, want = forward_three_sizes(ring, outputs, budget, macswap)
+    assert [[f.payload for f in out] for out in outs] == want
+    packets = list(zip(*outs))
+    assert len(packets) == 600
+    for copies in packets:
+        assert len({f.order for f in copies}) == 1
+        assert len({id(f.payload) for f in copies}) == 1
 
 
 # sha256 of emission_digest's record for each injection mode. Any change to
