@@ -95,8 +95,18 @@ def gen_traffic(count: int, size: int, seed: int) -> list[Frame]:
     # so this is seq.to_bytes(8, "little") + randbytes(size - 8) in one conversion
     draw = random.Random(seed).getrandbits
     bits = 8 * (size - 8)
-    return [Frame((draw(bits) << 64 | seq).to_bytes(size, "little"))
-            for seq in range(count)]
+    frames = []
+    new = object.__new__
+    for seq in range(count):
+        payload = (draw(bits) << 64 | seq).to_bytes(size, "little")
+        # slot by slot, not Frame(...): Nic.step_device's docstring says why
+        frame = new(Frame)
+        frame.payload = payload
+        frame.inject_time = None
+        frame.drain_time = None
+        frame.order = None
+        frames.append(frame)
+    return frames
 
 
 # -- pcap ingestion ----------------------------------------------------------

@@ -96,6 +96,19 @@ class TestGenTraffic:
     def test_empty(self):
         assert gen_traffic(0, 64, 1) == []
 
+    @pytest.mark.parametrize("size", [12, 64, MAX_FRAME])
+    def test_frames_are_plain_unstamped_frames(self, size):
+        # built slot by slot, each frame must be the Frame(payload) the
+        # dataclass call would make: every field set, only the payload not None
+        frames = gen_traffic(5, size, 3)
+        assert len(frames) == 5
+        for f in frames:
+            assert type(f) is Frame
+            assert dataclasses.astuple(f) == (f.payload, None, None, None)
+            assert type(f.payload) is bytes and len(f.payload) == size
+        assert frames == [Frame(f.payload) for f in frames]
+        assert gen_traffic(0, size, 3) == []
+
     def test_size_bounds(self):
         with pytest.raises(ValueError):
             gen_traffic(1, 0, 0)
@@ -704,16 +717,30 @@ class TestRunSweep:
     @pytest.mark.parametrize("replayed", [False, True])
     def test_no_frame_beyond_the_generated_trace(self, search, replayed):
         # every probe and row injects the caller's frames as they are; only
-        # a search given no frames builds any, the trace it generates
+        # a search given no frames builds any, the trace it generates, and
+        # it builds them slot by slot, never through Frame(...)
         frames = gen_traffic(400, 64, 3) if replayed else None
-        made = []
+        inits, generated = [], []
+
+        class CountingFrame(Frame):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                inits.append(args)
+                super().__init__(*args, **kwargs)
+
+        def counting_gen_traffic(*args, _gen=bench.gen_traffic):
+            out = _gen(*args)
+            generated.extend(out)
+            return out
+
         with pytest.MonkeyPatch.context() as mp:
-            def counting(*args, _frame=Frame):
-                made.append(args)
-                return _frame(*args)
-            mp.setattr(bench, "Frame", counting)
+            mp.setattr(bench, "Frame", CountingFrame)
+            mp.setattr(bench, "gen_traffic", counting_gen_traffic)
             search(frames)
-        assert len(made) == (0 if replayed else 400)
+        assert inits == []
+        assert len(generated) == (0 if replayed else 400)
+        assert all(type(f) is CountingFrame for f in generated)
 
     def test_sweep_shape_and_conservation(self):
         results = run_sweep("identity", 256, 1, 100, trace_length=400)

@@ -19,6 +19,7 @@ import tinyring
 from tinyring import (DESC_BYTES, MAX_FRAME, META_DD, META_LEN_MASK, META_RS,
                       Frame, InvalidRegisterError, MemEnv, Nic, NotReadyError,
                       RegisterWriteFault, TranslationFault, ownership)
+from tinyring.nic import _check_payload
 
 U64 = struct.Struct("<Q")
 U32 = struct.Struct("<I")
@@ -338,6 +339,22 @@ def emit_received(env, nic, tx, bufs, count):
     return nic.drain_tx(0)
 
 
+class BytesSubclass(bytes):
+    pass
+
+
+def payloads_at_the_rule_edges():
+    """bytes of 0..MAX_FRAME + 1 bytes, drawn often at the edges 0, 1,
+    MAX_FRAME and MAX_FRAME + 1, and payloads of other types: bytearray,
+    memoryview, str, None and a bytes subclass."""
+    length = st.one_of(st.sampled_from([0, 1, MAX_FRAME, MAX_FRAME + 1]),
+                       st.integers(0, MAX_FRAME + 1))
+    raw = length.map(lambda n: bytes(i & 0xFF for i in range(n)))
+    return st.one_of(raw, raw, raw.map(bytearray), raw.map(memoryview),
+                     raw.map(lambda b: b.decode("latin-1")), st.none(),
+                     raw.map(BytesSubclass))
+
+
 class TestLink:
     def test_inject_fifo(self):
         env = MemEnv()
@@ -404,6 +421,45 @@ class TestLink:
         nic.step_device(4)
         assert link.injected == link.rx_delivered + link.rx_dropped + len(link.rx_pending)
         assert link.rx_delivered == 1
+
+    @settings(deadline=None)
+    @given(payload=payloads_at_the_rule_edges())
+    def test_inject_applies_the_payload_rule(self, payload):
+        # inject_rx tests the rule inline; it must accept and reject exactly
+        # what _check_payload does, raise its message, record nothing for a
+        # rejected frame, and call _check_payload only for a rejected one
+        try:
+            _check_payload(payload)
+            want = None
+        except ValueError as exc:
+            want = str(exc)
+        nic = Nic(MemEnv())
+        nic.inject_rx(Frame(b"z" * 64))
+        link = nic.link
+        times, pending = list(link.inject_times), list(link.rx_pending)
+        frame = Frame(payload)
+        calls = []
+
+        def spy(p):
+            calls.append(p)
+            _check_payload(p)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tinyring.nic, "_check_payload", spy)
+            if want is None:
+                nic.inject_rx(frame)
+            else:
+                with pytest.raises(ValueError) as info:
+                    nic.inject_rx(frame)
+                assert str(info.value) == want
+        if want is None:
+            assert not calls
+            assert link.inject_times == times + [0]
+            assert list(link.rx_pending) == pending + [frame]
+        else:
+            assert len(calls) == 1 and calls[0] is payload
+            assert link.inject_times == times
+            assert list(link.rx_pending) == pending
 
     def test_drain_unknown_queue(self):
         with pytest.raises(ValueError):
@@ -822,8 +878,9 @@ def two_queues_on_one_buffer(lengths=(64, 64), rx=False):
 
 
 class TestSharedPayload:
-    """Completions of the same bytes in one step share one payload object,
-    and every payload still holds the bytes in memory at its completion."""
+    """Completions of the same buffer bytes share one payload object, in one
+    step or across steps, as long as memory still holds those bytes; every
+    payload holds the bytes in memory at its own completion."""
 
     def publish_and_step(self, nic, budget=2):
         nic.reg_write("TDT", 1, 0)
@@ -837,7 +894,7 @@ class TestSharedPayload:
         assert out0[0].payload == out1[0].payload == bytes(range(64))
         assert out0[0].payload is out1[0].payload
 
-    def test_not_shared_across_steps(self):
+    def test_bytes_written_between_steps_copied_again(self):
         env, nic, _, buf = two_queues_on_one_buffer()
         nic.reg_write("TDT", 1, 0)
         nic.reg_write("TDT", 1, 1)
@@ -846,6 +903,17 @@ class TestSharedPayload:
         nic.step_device(1)
         assert nic.drain_tx(0)[0].payload == bytes(range(64))
         assert nic.drain_tx(1)[0].payload == b"\xee" * 64
+
+    def test_unchanged_bytes_shared_across_steps(self):
+        env, nic, _, buf = two_queues_on_one_buffer()
+        nic.reg_write("TDT", 1, 0)
+        nic.reg_write("TDT", 1, 1)
+        nic.step_device(1)  # queue 0 completes; nothing writes the buffer after it
+        nic.step_device(1)  # queue 1 completes
+        (out0,), (out1,) = nic.drain_tx(0), nic.drain_tx(1)
+        assert (out0.drain_time, out1.drain_time) == (1, 2)
+        assert out0.payload == bytes(range(64))
+        assert out0.payload is out1.payload
 
     def test_distinct_buffers_are_not_shared(self):
         env, nic, rings, buf = two_queues_on_one_buffer()

@@ -14,14 +14,17 @@ those alone move a ratio. Read the A/B ratio only when the A/A interval
 holds 1.0.
 
 A round times one pass of the workload on each of the three copies, in an
-order shuffled per round. A pass builds its inputs and pipeline from its own
-copy, runs ``gc.collect()``, times only the workload's timed part with
-``time.perf_counter``, and then checks its outputs: against the oracle
-(``RefPipeline``) for the forwarding shapes, and against the parent's for
-the sweep. Any mismatch stops the run. The result for each workload is the
-median over rounds of the per-round time ratio, change/parent and A/A
-(second parent copy/parent), each with a bootstrap 95% confidence interval
-over rounds. A ratio below 1 means the change is faster.
+order shuffled per round. A pass runs ``gc.collect()``, builds its inputs
+and pipeline from its own copy (timed as the set-up), runs ``gc.collect()``
+again, times the workload's timed part, and then checks its outputs:
+against the oracle (``RefPipeline``) for the forwarding shapes, and against
+the parent's for the sweep. Both times come from ``time.perf_counter``. Any
+mismatch stops the run. The result for each workload is the median over
+rounds of the per-round time ratio, change/parent and A/A (second parent
+copy/parent), each with a bootstrap 95% confidence interval over rounds,
+for the timed part and for the set-up alike. A ratio below 1 means the
+change is faster. ``sweep_knee`` builds its trace inside ``run_sweep``, in
+its timed part, so its set-up is empty and its set-up ratios are noise.
 
 The shapes are those of ``perfbench/workloads.py``, scaled down so that one
 pass takes tens of milliseconds and hundreds of rounds fit in a minute:
@@ -136,13 +139,17 @@ def load_copies(trees: dict[str, str], tmp: str) -> dict:
 
 
 def run_pass(tr, shape, seed):
-    """Build, collect, time the timed part, check; returns (seconds, outcome)."""
+    """Collect, time the build, collect, time the timed part, check;
+    returns (set-up seconds, timed seconds, outcome)."""
+    gc.collect()
+    t0 = time.perf_counter()
     timed, check = shape(tr, seed)
+    setup = time.perf_counter() - t0
     gc.collect()
     t0 = time.perf_counter()
     timed()
     elapsed = time.perf_counter() - t0
-    return elapsed, check()
+    return setup, elapsed, check()
 
 
 def median_ci(ratios: list[float], rng: random.Random) -> tuple[float, float, float]:
@@ -157,23 +164,34 @@ def measure(mods: dict, name: str, pairs: int, seed: int, rng: random.Random) ->
     shape = SHAPES[name]
     for tr in mods.values():  # one untimed pass each: imports, caches, lazy set-up
         run_pass(tr, shape, seed)
+    setups: dict[str, list[float]] = {arm: [] for arm in mods}
     times: dict[str, list[float]] = {arm: [] for arm in mods}
     for i in range(pairs):
         order = list(mods)
         rng.shuffle(order)
         outcomes = {}
         for arm in order:
-            elapsed, outcomes[arm] = run_pass(mods[arm], shape, seed)
+            setup, elapsed, outcomes[arm] = run_pass(mods[arm], shape, seed)
+            setups[arm].append(setup)
             times[arm].append(elapsed)
         if any(outcomes[arm] != outcomes["parent"] for arm in mods):
             raise Mismatch(f"{name} round {i}: outputs differ between trees")
-    base = times["parent"]
     result = {"workload": name, "pairs": pairs, "seed": seed,
-              "parent_median_s": statistics.median(base)}
-    for arm, key in (("change", "change_over_parent"), ("aa", "aa_over_parent")):
-        med, lo, hi = median_ci([t / b for t, b in zip(times[arm], base)], rng)
-        result[key] = {"median": med, "ci95": [lo, hi]}
+              "parent_median_s": statistics.median(times["parent"]),
+              "parent_setup_median_s": statistics.median(setups["parent"])}
+    for prefix, samples in (("", times), ("setup_", setups)):
+        base = samples["parent"]
+        for arm, key in (("change", "change_over_parent"), ("aa", "aa_over_parent")):
+            med, lo, hi = median_ci([t / b for t, b in zip(samples[arm], base)], rng)
+            result[prefix + key] = {"median": med, "ci95": [lo, hi]}
     return result
+
+
+def ratios(r: dict, prefix: str) -> str:
+    """One result's change/parent and A/A ratios, with their intervals."""
+    ab, aa = r[prefix + "change_over_parent"], r[prefix + "aa_over_parent"]
+    return (f"change/parent {ab['median']:.4f} [{ab['ci95'][0]:.4f}, {ab['ci95'][1]:.4f}]  "
+            f"A/A {aa['median']:.4f} [{aa['ci95'][0]:.4f}, {aa['ci95'][1]:.4f}]")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -196,12 +214,10 @@ def main(argv: list[str] | None = None) -> int:
         for name in args.workload or sorted(SHAPES):
             r = measure(mods, name, args.pairs, args.seed, rng)
             results.append(r)
-            ab, aa = r["change_over_parent"], r["aa_over_parent"]
-            print(f"{name:<11} change/parent {ab['median']:.4f} "
-                  f"[{ab['ci95'][0]:.4f}, {ab['ci95'][1]:.4f}]  "
-                  f"A/A {aa['median']:.4f} [{aa['ci95'][0]:.4f}, {aa['ci95'][1]:.4f}]  "
-                  f"{r['pairs']} pairs, parent pass {1e3 * r['parent_median_s']:.1f} ms",
-                  flush=True)
+            print(f"{name:<11} timed  {ratios(r, '')}  {r['pairs']} pairs, "
+                  f"parent pass {1e3 * r['parent_median_s']:.1f} ms\n"
+                  f"{'':<11} set-up {ratios(r, 'setup_')}  "
+                  f"parent set-up {1e3 * r['parent_setup_median_s']:.1f} ms", flush=True)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(results, fh, indent=1)
