@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
+import tinyring.agent
 from tinyring import (DESC_BYTES, MAX_FRAME, META_DD, META_EOP, META_RS, Agent,
                       Frame, MemEnv, Nic, PipelineStalled, ProtocolViolation,
                       RefPipeline, TranslationFault, build_pipeline, forward_trace,
                       gen_traffic, identity, macswap, ownership, policer, service_rate)
+from tinyring.agent import _reject_output_lengths
 
 U64 = struct.Struct("<Q")
 
@@ -95,6 +97,15 @@ class TestInit:
             rx_addr = U64.unpack_from(env.dma, nic.reg_read("RDBA") + i * DESC_BYTES)[0]
             for tb in (nic.reg_read("TDBA", q) for q in range(2)):
                 assert U64.unpack_from(env.dma, tb + i * DESC_BYTES)[0] == rx_addr
+
+
+def output_lengths_at_the_rule_edges():
+    """Lists of 1..4 output lengths, drawn often at the edges -1, 0,
+    MAX_FRAME and MAX_FRAME + 1, and at values that are not lengths: True,
+    1.0 and None."""
+    edge = st.sampled_from([-1, 0, MAX_FRAME, MAX_FRAME + 1, True, 1.0, None])
+    return st.lists(st.one_of(edge, edge, st.integers(-1, MAX_FRAME + 1)),
+                    min_size=1, max_size=4)
 
 
 class TestRingProtocol:
@@ -246,6 +257,54 @@ class TestRingProtocol:
             agent.poll(identity())
         agent.transmit([64, 64])
         assert agent.processed == 1
+
+    @settings(deadline=None)
+    @given(lengths=output_lengths_at_the_rule_edges())
+    def test_poll_applies_the_output_length_rule(self, lengths):
+        # poll tests the rule inline; it must reject exactly the lists that
+        # hold a length that is not an integer in [0, MAX_FRAME], raise
+        # _reject_output_lengths's message, file nothing for a rejected
+        # packet, and call _reject_output_lengths only for a rejected one
+        try:
+            _reject_output_lengths(lengths)
+            want = None
+        except ValueError as exc:
+            want = str(exc)
+        bad = [n for n in lengths if type(n) is not int or not 0 <= n <= MAX_FRAME]
+        assert (want is None) == (not bad)
+        # the default flush period: an accepted packet is filed, not published
+        env, nic, agent = make(num_outputs=len(lengths))
+        nic.inject_rx(Frame(b"q" * 64))
+        nic.step_device(1)
+        arena = bytes(env.dma)
+        metas = [nic.reg_read("TDBA", q) + 8 for q in range(len(lengths))]
+        calls = []
+
+        def spy(ls):
+            calls.append(ls)
+            _reject_output_lengths(ls)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tinyring.agent, "_reject_output_lengths", spy)
+            if want is None:
+                assert agent.poll(lambda buf, length, num_outputs: lengths)
+            else:
+                with pytest.raises(ValueError) as info:
+                    agent.poll(lambda buf, length, num_outputs: lengths)
+                assert str(info.value) == want
+        if want is None:
+            assert not calls
+            assert agent.processed == 1
+            assert [U64.unpack_from(env.dma, m)[0] for m in metas] == [
+                n | META_EOP for n in lengths]
+        else:
+            assert len(calls) == 1 and calls[0] is lengths
+            assert bytes(env.dma) == arena  # every transmit metadata word as it was
+            assert agent.processed == 0
+            with pytest.raises(ProtocolViolation):
+                agent.poll(identity())  # the packet stayed outstanding
+            agent.transmit([64] * len(lengths))
+            assert agent.processed == 1
 
     @pytest.mark.parametrize("call", ["poll", "receive"])
     def test_received_length_above_max_frame_blames_the_descriptor(self, call):

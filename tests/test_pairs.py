@@ -1,0 +1,88 @@
+"""tools/pairs.py: every copy runs perfbench's own workloads against its own
+package, and a change tree whose outputs are wrong stops the run."""
+
+import importlib.util
+import os
+import random
+import shutil
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture
+def pairs(monkeypatch):
+    spec = importlib.util.spec_from_file_location("pairs", os.path.join(ROOT, "tools", "pairs.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    monkeypatch.setattr(mod, "BURST_PACKETS", 500)
+    return mod
+
+
+def copies(pairs, tmp_path, change=ROOT):
+    os.mkdir(tmp_path / "copies")
+    return pairs.load_copies({"parent": ROOT, "aa": ROOT, "change": change},
+                             str(tmp_path / "copies"))
+
+
+@pytest.mark.parametrize("imported", [True, False])
+def test_each_arm_loads_the_workloads_against_its_own_copy(pairs, tmp_path, monkeypatch,
+                                                           imported):
+    if not imported:
+        monkeypatch.delitem(sys.modules, "tinyring", raising=False)
+    bound, path = sys.modules.get("tinyring"), list(sys.path)
+    mods = copies(pairs, tmp_path)
+    assert sys.modules.get("tinyring") is bound
+    assert sys.path == path
+    assert sorted(mods) == ["aa", "change", "parent"]
+    for arm, wl in mods.items():
+        assert wl.__name__ == f"workloads_{arm}"
+        assert wl.tr.__name__ == f"tr_{arm}"
+        assert type(wl.Burst64(1).setup(0).nic).__module__ == f"tr_{arm}.nic"
+        # the sweep's CSV goes to the temporary directory, not perfbench/out
+        assert os.path.dirname(wl.SweepKnee().csv_path) == str(tmp_path / "copies")
+
+
+def test_a_a_run_passes_and_marks_its_intervals(pairs, tmp_path):
+    r = pairs.measure(copies(pairs, tmp_path), "burst_64b", 2, 0, random.Random(0))
+    assert (r["workload"], r["pairs"]) == ("burst_64b", 2)
+    assert r["parent_median_s"] > 0 and r["parent_setup_median_s"] > 0
+    for prefix in ("", "setup_"):
+        lo, hi = r[prefix + "aa_over_parent"]["ci95"]
+        assert r[prefix + "aa_holds"] is (lo <= 1.0 <= hi)
+        void = "VOID (A/A misses 1.0)" in pairs.ratios(r, prefix)
+        assert void is not r[prefix + "aa_holds"]
+
+
+def mutant_tree(tmp_path, module, old, new):
+    """A copy of src/tinyring with one edit in module; returns the tree."""
+    pkg = tmp_path / "tree" / "src" / "tinyring"
+    shutil.copytree(os.path.join(ROOT, "src", "tinyring"), pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    text = (pkg / module).read_text()
+    assert text.count(old) == 1
+    (pkg / module).write_text(text.replace(old, new))
+    return str(tmp_path / "tree")
+
+
+@pytest.mark.parametrize("module, old, new, caught_by", [
+    # one step late on every emitted frame: perfbench's forwarding check
+    # reads payloads and order only, so the cross-tree comparison catches it
+    ("nic.py", "frame.drain_time = now", "frame.drain_time = now + 1",
+     "outputs differ between trees"),
+    # identity flips one byte: perfbench's oracle runs the tree's own
+    # identity, so it agrees, and the cross-tree comparison catches it
+    ("netfuncs.py", "        return [length] * num_outputs\n\n    return proc\n\n\ndef macswap",
+     "        buf[0] ^= 1\n        return [length] * num_outputs\n\n    return proc\n\n\n"
+     "def macswap", "outputs differ between trees"),
+    # the device writes one received byte wrong: the oracle check catches it
+    ("nic.py", "mem[baddr:baddr + n] = payload\n",
+     "mem[baddr:baddr + n] = payload[:-1] + bytes([payload[-1] ^ 1])\n",
+     "operations failed its check"),
+], ids=["drain_time", "identity", "receive_dma"])
+def test_a_wrong_change_tree_stops_the_run(pairs, tmp_path, module, old, new, caught_by):
+    mods = copies(pairs, tmp_path, mutant_tree(tmp_path, module, old, new))
+    with pytest.raises(pairs.Mismatch, match=caught_by):
+        pairs.measure(mods, "burst_64b", 2, 0, random.Random(0))

@@ -11,31 +11,27 @@ relative imports. The parent is copied a second time (``tr_aa``), so every
 run also times the parent against itself. Two copies of one tree differ
 only in code addresses and import order, so the A/A interval shows how far
 those alone move a ratio. Read the A/B ratio only when the A/A interval
-holds 1.0.
+holds 1.0; a line whose A/A interval misses it is marked VOID.
+
+The workloads are perfbench's own, from ``perfbench/workloads.py`` in the
+checkout that holds this script, loaded once per copy (``workloads_parent``
+and so on) against that copy. Two are scaled down so that one pass takes
+tens of milliseconds: ``burst_64b`` runs 5000 frames and ``imix_q4`` 1200.
+``sweep_knee`` runs at the benchmark's own size, and writes its CSV to the
+temporary directory.
 
 A round times one pass of the workload on each of the three copies, in an
-order shuffled per round. A pass runs ``gc.collect()``, builds its inputs
-and pipeline from its own copy (timed as the set-up), runs ``gc.collect()``
-again, times the workload's timed part, and then checks its outputs:
-against the oracle (``RefPipeline``) for the forwarding shapes, and against
-the parent's for the sweep. Both times come from ``time.perf_counter``. Any
-mismatch stops the run. The result for each workload is the median over
+order shuffled per round. A pass runs ``gc.collect()``, times the
+workload's ``setup``, runs ``gc.collect()`` again, times its ``timed``
+part, and then collects its outputs and checks them with the workload's
+own ``check``. Both times come from ``time.perf_counter``. The run stops
+when a check fails, or when a copy's outputs differ from the parent's in
+any field of any emitted frame (payload, inject time, drain time, order)
+or in any sweep row. The result for each workload is the median over
 rounds of the per-round time ratio, change/parent and A/A (second parent
 copy/parent), each with a bootstrap 95% confidence interval over rounds,
 for the timed part and for the set-up alike. A ratio below 1 means the
-change is faster. ``sweep_knee`` builds its trace inside ``run_sweep``, in
-its timed part, so its set-up is empty and its set-up ratios are noise.
-
-The shapes are those of ``perfbench/workloads.py``, scaled down so that one
-pass takes tens of milliseconds and hundreds of rounds fit in a minute:
-
-- ``burst_64b``: 5000 64-byte frames injected up front, ring 1024, one
-  output, identity, ``Agent.run`` with device budget 2;
-- ``imix_q4``: 1200 IMIX frames (64/576/1500 bytes at 7:4:1), ring 64,
-  four outputs, ``policer(100)``, flow-controlled ``forward_trace`` with
-  device budget 5;
-- ``sweep_knee``: ``run_sweep("identity", 256, 1, 100)`` over a
-  5000-frame trace, the benchmark's own size.
+change is faster.
 
 Only the standard library is used. Times are host seconds, which drift
 between runs on a shared host; only a ratio taken within one process
@@ -47,7 +43,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
-import importlib
+import importlib.util
 import json
 import os
 import random
@@ -57,99 +53,86 @@ import sys
 import tempfile
 import time
 
+WORKLOADS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "workloads.py")
 BURST_PACKETS = 5000
-IMIX = ((64, 7), (576, 4), (1500, 1))
 IMIX_PACKETS = 1200
-SWEEP_TRACE = 5000
 RESAMPLES = 2000
+
+# each workload, built from one copy's workloads module
+SHAPES = {"burst_64b": lambda wl: wl.Burst64(BURST_PACKETS),
+          "imix_q4": lambda wl: wl.ImixQ4(IMIX_PACKETS),
+          "sweep_knee": lambda wl: wl.SweepKnee()}
 
 
 class Mismatch(Exception):
     """A pass's outputs are not what they must be."""
 
 
-def burst_64b(tr, seed):
-    frames = tr.gen_traffic(BURST_PACKETS, 64, seed)
-    _, nic, agent = tr.build_pipeline(1024, 1)
-    for f in frames:
-        nic.inject_rx(f)
-    proc = tr.identity()
-
-    def timed():
-        agent.run(proc, max_packets=BURST_PACKETS, device_budget=2)
-
-    def check():
-        out = [f.payload for f in nic.drain_tx(0)]
-        if out != [f.payload for f in frames]:
-            raise Mismatch("burst_64b: output 0 differs from the injected frames")
-        return len(out)
-
-    return timed, check
-
-
-def imix_q4(tr, seed):
-    period = sum(w for _, w in IMIX)
-    sizes = [s for s, w in IMIX for _ in range(w)] * (IMIX_PACKETS // period)
-    random.Random(seed).shuffle(sizes)
-    pools = {s: iter(tr.gen_traffic(IMIX_PACKETS // period * w, s, seed * 4096 + s))
-             for s, w in IMIX}
-    frames = [next(pools[s]) for s in sizes]
-    _, nic, agent = tr.build_pipeline(64, 4)
-    proc = tr.policer(100)
-
-    def timed():
-        tr.forward_trace(agent, frames, proc, device_budget=5)
-
-    def check():
-        out = [[f.payload for f in nic.drain_tx(q)] for q in range(4)]
-        if out != tr.RefPipeline(4, tr.policer(100)).process_trace(frames):
-            raise Mismatch("imix_q4: outputs differ from the oracle's")
-        return [len(o) for o in out]
-
-    return timed, check
-
-
-def sweep_knee(tr, seed):
-    rows = []
-
-    def timed():
-        rows.extend(tr.run_sweep("identity", 256, 1, 100, trace_length=SWEEP_TRACE, seed=seed))
-
-    def check():
-        return [dataclasses.astuple(r) for r in rows]
-
-    return timed, check
-
-
-SHAPES = {f.__name__: f for f in (burst_64b, imix_q4, sweep_knee)}
+def load(name: str, path: str):
+    """Import the file at path as module name (a package if it is an
+    __init__.py). The module is registered before it runs, because
+    @dataclass looks its module up there."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[name] = mod
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def load_copies(trees: dict[str, str], tmp: str) -> dict:
-    """Import each tree's src/tinyring from tmp under the name tr_<arm>."""
-    sys.path.insert(0, tmp)
+    """Copy each tree's src/tinyring into tmp as tr_<arm> and import it, then
+    load perfbench's workloads against it as workloads_<arm>; returns the
+    workloads modules by arm.
+
+    workloads.py binds ``tinyring`` at import, so that name points at the
+    arm's copy only while the module runs, and its previous binding (or its
+    absence) is restored.
+    """
     mods = {}
     for arm, tree in trees.items():
         pkg = os.path.join(tree, "src", "tinyring")
         if not os.path.isfile(os.path.join(pkg, "__init__.py")):
             raise SystemExit(f"pairs: no src/tinyring package in {tree}")
-        shutil.copytree(pkg, os.path.join(tmp, f"tr_{arm}"),
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        mods[arm] = importlib.import_module(f"tr_{arm}")
+        name = f"tr_{arm}"
+        copy = os.path.join(tmp, name)
+        shutil.copytree(pkg, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        for stale in [m for m in sys.modules if m.startswith(name + ".")]:
+            del sys.modules[stale]  # submodules of a copy loaded before, from another tree
+        tr = load(name, os.path.join(copy, "__init__.py"))
+        bound = sys.modules.get("tinyring")
+        sys.modules["tinyring"] = tr
+        try:
+            wl = load(f"workloads_{arm}", WORKLOADS)
+        finally:
+            if bound is None:
+                sys.modules.pop("tinyring", None)
+            else:
+                sys.modules["tinyring"] = bound
+        wl.OUT_DIR = tmp  # the sweep's CSV and the directory it makes, out of perfbench/
+        mods[arm] = wl
     return mods
 
 
-def run_pass(tr, shape, seed):
-    """Collect, time the build, collect, time the timed part, check;
-    returns (set-up seconds, timed seconds, outcome)."""
+def run_pass(workload, seed: int) -> tuple[float, float, list]:
+    """Collect, time the set-up, collect, time the timed part, then collect
+    the outputs and check them; returns (set-up seconds, timed seconds, a
+    fingerprint of the outputs: every field of every emitted frame, or the
+    sweep's rows)."""
     gc.collect()
     t0 = time.perf_counter()
-    timed, check = shape(tr, seed)
+    state = workload.setup(seed)
     setup = time.perf_counter() - t0
     gc.collect()
     t0 = time.perf_counter()
-    timed()
+    workload.timed(state)
     elapsed = time.perf_counter() - t0
-    return setup, elapsed, check()
+    outputs = workload.collect(state)
+    attempted, failed = workload.check(state, outputs)
+    if failed:
+        raise Mismatch(f"{workload.name}: {failed} of {attempted} operations failed its check")
+    return setup, elapsed, [[x if type(x) is tuple else dataclasses.astuple(x) for x in out]
+                            for out in outputs]
 
 
 def median_ci(ratios: list[float], rng: random.Random) -> tuple[float, float, float]:
@@ -161,9 +144,9 @@ def median_ci(ratios: list[float], rng: random.Random) -> tuple[float, float, fl
 
 
 def measure(mods: dict, name: str, pairs: int, seed: int, rng: random.Random) -> dict:
-    shape = SHAPES[name]
-    for tr in mods.values():  # one untimed pass each: imports, caches, lazy set-up
-        run_pass(tr, shape, seed)
+    workloads = {arm: SHAPES[name](wl) for arm, wl in mods.items()}
+    for workload in workloads.values():  # one untimed pass each: imports, caches, lazy set-up
+        run_pass(workload, seed)
     setups: dict[str, list[float]] = {arm: [] for arm in mods}
     times: dict[str, list[float]] = {arm: [] for arm in mods}
     for i in range(pairs):
@@ -171,7 +154,7 @@ def measure(mods: dict, name: str, pairs: int, seed: int, rng: random.Random) ->
         rng.shuffle(order)
         outcomes = {}
         for arm in order:
-            setup, elapsed, outcomes[arm] = run_pass(mods[arm], shape, seed)
+            setup, elapsed, outcomes[arm] = run_pass(workloads[arm], seed)
             setups[arm].append(setup)
             times[arm].append(elapsed)
         if any(outcomes[arm] != outcomes["parent"] for arm in mods):
@@ -184,14 +167,18 @@ def measure(mods: dict, name: str, pairs: int, seed: int, rng: random.Random) ->
         for arm, key in (("change", "change_over_parent"), ("aa", "aa_over_parent")):
             med, lo, hi = median_ci([t / b for t, b in zip(samples[arm], base)], rng)
             result[prefix + key] = {"median": med, "ci95": [lo, hi]}
+        lo, hi = result[prefix + "aa_over_parent"]["ci95"]
+        result[prefix + "aa_holds"] = lo <= 1.0 <= hi
     return result
 
 
 def ratios(r: dict, prefix: str) -> str:
-    """One result's change/parent and A/A ratios, with their intervals."""
+    """One result's change/parent and A/A ratios, with their intervals,
+    marked VOID when the A/A interval misses 1.0."""
     ab, aa = r[prefix + "change_over_parent"], r[prefix + "aa_over_parent"]
     return (f"change/parent {ab['median']:.4f} [{ab['ci95'][0]:.4f}, {ab['ci95'][1]:.4f}]  "
-            f"A/A {aa['median']:.4f} [{aa['ci95'][0]:.4f}, {aa['ci95'][1]:.4f}]")
+            f"A/A {aa['median']:.4f} [{aa['ci95'][0]:.4f}, {aa['ci95'][1]:.4f}]"
+            + ("" if r[prefix + "aa_holds"] else "  VOID (A/A misses 1.0)"))
 
 
 def main(argv: list[str] | None = None) -> int:
