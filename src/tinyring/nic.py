@@ -177,23 +177,25 @@ def _check_payload(payload: bytes) -> None:
 
 
 class Link:
-    """Frame queues on both sides of the device, plus loss accounting."""
+    """Frame queues on both sides of the device, plus loss accounting.
+
+    rx_times holds the step each frame on the wire entered it, in wire
+    order: inject_rx appends to both queues, a receive or a drop pops
+    both, and a faulted receive puts both back. The link keeps nothing per
+    frame once it has left the wire.
+    """
 
     def __init__(self, num_tx_queues: int) -> None:
         self.rx_pending: deque[Frame] = deque()
+        self.rx_times: deque[int] = deque()
         self.tx_emitted: list[list[Frame]] = [[] for _ in range(num_tx_queues)]
-        # the step each frame entered the wire, indexed by its order
-        self.inject_times: list[int] = []
         self.rx_delivered = 0
         self.rx_dropped = 0
-        # buffer phys addr -> order of the frame last received there; lets
-        # emission carry the order and inject time through the zero-copy path.
-        self.buffer_meta: dict[int, int] = {}
 
     @property
     def injected(self) -> int:
-        """Frames ever injected: one inject time was recorded per order."""
-        return len(self.inject_times)
+        """Frames ever injected: each was delivered, dropped or is on the wire."""
+        return self.rx_delivered + self.rx_dropped + len(self.rx_pending)
 
 
 class _Ring:
@@ -227,9 +229,11 @@ class Nic:
         _check_int(num_tx_queues, "transmit queue count", 1, MAX_QUEUES)
         self._mem = env.dma
         self._arena = env.dma.obj  # the bytearray itself, for in-place startswith
-        # buffer phys addr -> the payload last received into that buffer or
-        # copied out of it; a completion emits it when memory still holds it
-        self._payloads: dict[int, bytes] = {}
+        # buffer phys addr -> (payload, order, inject time): the payload last
+        # received into that buffer or copied out of it, which a completion
+        # emits when memory still holds it, and the order and inject time of
+        # the frame last received there (None for a buffer never received into)
+        self._held: dict[int, tuple[bytes, int | None, int | None]] = {}
         self._u64 = env.dma.cast("Q")  # descriptor words, index = address >> 3
         self._u32 = env.dma.cast("I")  # head write-back words, index = address >> 2
         self.num_tx_queues = num_tx_queues
@@ -320,7 +324,7 @@ class Nic:
 
     def inject_rx(self, frame: Frame) -> None:
         """Queue frame on the wire. Only its payload is read: the link
-        records the current step as the inject time of the next order.
+        records the current step as its inject time, in rx_times.
 
         A payload that breaks _check_payload's rule raises its ValueError
         before anything is recorded. The rule is tested inline, saving a
@@ -330,7 +334,7 @@ class Nic:
         if type(p) is not bytes or not 0 < len(p) <= MAX_FRAME:
             _check_payload(p)
         link = self.link
-        link.inject_times.append(self.now)
+        link.rx_times.append(self.now)
         link.rx_pending.append(frame)
 
     def drain_tx(self, queue: int) -> list[Frame]:
@@ -356,18 +360,19 @@ class Nic:
         the cursor where it was and no memory touched, which is what a lap
         over idle classes would leave.
 
-        A transmit completion emits a Frame carrying the order recorded
-        when its buffer was received, the inject time the link recorded for
-        that order, and the current step as drain_time; a buffer never
+        A transmit completion emits a Frame carrying the order and inject
+        time from its buffer's record, which the last receive into that
+        buffer wrote, and the current step as drain_time; a buffer never
         received into emits order and inject_time None, and length 0 emits
         nothing. The device derives the order itself: the wire is FIFO and
-        a faulted receive puts its frame back uncounted, so the frame a
-        receive pops has order rx_delivered + rx_dropped. Injected frames
-        are never written. The emitted Frame is built with object.__new__
-        and one store per field, not Frame(...), because CPython enters a
-        dataclass __init__ through a C call that it cannot inline. Retiring
-        an RS descriptor writes the new head to the write-back address, if
-        one is set.
+        a faulted receive puts its frame and inject time back uncounted, so
+        the frame a receive pops has order rx_delivered + rx_dropped, and
+        its inject time is the one popped off rx_times with it. Injected
+        frames are never written. The emitted Frame is built with
+        object.__new__ and one store per field, not Frame(...), because
+        CPython enters a dataclass __init__ through a C call that it cannot
+        inline. Retiring an RS descriptor writes the new head to the
+        write-back address, if one is set.
 
         A descriptor whose buffer runs past the DMA arena raises
         TranslationFault before the device writes or emits anything for
@@ -377,17 +382,20 @@ class Nic:
         the faulted class, so the next step serves it first.
 
         Emission copies a buffer only when its bytes changed. The device
-        records, per buffer address, the payload object last received into
-        that buffer or copied out of it. A completion emits that object when
-        its length is the descriptor's and the arena still holds it at the
-        buffer address, checked in place (bytearray.startswith, a memcmp
-        with no allocation); otherwise it copies the buffer and records the
-        copy. Each payload therefore holds exactly the bytes in memory at
-        its own completion, whatever wrote them, and a packet forwarded
-        unchanged is emitted as the bytes object that was injected. The
-        record holds one object per buffer address the device has received
-        into or emitted from. Payloads are immutable bytes, so callers
-        cannot tell a shared one from a fresh copy.
+        keeps one record per buffer address, (payload, order, inject time),
+        whose payload is the object last received into that buffer or
+        copied out of it. A completion emits that object when its length is
+        the descriptor's and the arena still holds it at the buffer address,
+        checked in place (bytearray.startswith, a memcmp with no
+        allocation); otherwise it copies the buffer and records the copy
+        with the same order and inject time. Each payload therefore holds
+        exactly the bytes in memory at its own completion, whatever wrote
+        them, and a packet forwarded unchanged is emitted as the bytes
+        object that was injected. The device holds one record per buffer
+        address it has received into or emitted from, and the link one
+        inject time per frame on the wire: nothing grows with the frames
+        ever injected. Payloads are immutable bytes, so callers cannot tell
+        a shared one from a fresh copy.
         """
         rings = self._rings
         rx = rings[0]
@@ -404,10 +412,9 @@ class Nic:
                     break
             else:
                 return 0
-        orders, times = link.buffer_meta, link.inject_times
-        emitted = link.tx_emitted
+        times, emitted = link.rx_times, link.tx_emitted
         mem, u64 = self._mem, self._u64
-        arena, payloads = self._arena, self._payloads
+        arena, held = self._arena, self._held
         classes, succ = self._classes, self._succ
         c = self._rr  # class 0 is RX, 1 + q is TX q
         # passed counts the idle classes visited since the last served one.
@@ -426,20 +433,20 @@ class Nic:
                         length = meta & META_LEN_MASK
                         if length:
                             baddr = u64[mi - 1]
-                            payload = payloads.get(baddr, b"")
+                            payload, order, t = held.get(baddr, (b"", None, None))
                             if len(payload) != length or not arena.startswith(payload, baddr):
                                 payload = mem[baddr:baddr + length].tobytes()
                                 if len(payload) != length:  # the slice stopped at the arena's end
                                     raise TranslationFault(f"transmit queue {c - 1} slot {slot}: "
                                                            f"buffer {baddr:#x}+{length} lies "
                                                            f"outside the DMA arena")
-                                payloads[baddr] = payload
+                                held[baddr] = (payload, order, t)
                             # slot by slot: Frame(...) would enter a dataclass __init__ through a C call
                             frame = object.__new__(Frame)
                             frame.payload = payload
-                            order = frame.order = orders.get(baddr)
-                            frame.inject_time = None if order is None else times[order]
+                            frame.inject_time = t
                             frame.drain_time = now
+                            frame.order = order
                             emitted[c - 1].append(frame)
                         u64[mi] = meta | META_DD
                         slot = (slot + 1) & ring.mask
@@ -456,6 +463,7 @@ class Nic:
                 else:
                     if wire and rx.enabled:
                         frame = wire.popleft()
+                        t = times.popleft()
                         slot = rx.head
                         if slot == rx.tail:
                             # no device-owned descriptor: the wire does not wait
@@ -469,14 +477,14 @@ class Nic:
                                 mem[baddr:baddr + n] = payload
                             except ValueError:  # the slice stopped at the arena's end
                                 wire.appendleft(frame)
+                                times.appendleft(t)
                                 raise TranslationFault(f"receive slot {slot}: buffer "
                                                        f"{baddr:#x}+{n} lies outside the "
                                                        f"DMA arena") from None
                             # payload first, then the whole metadata word: the publish order
                             u64[mi] = n | META_EOP | META_DD
-                            payloads[baddr] = payload
+                            held[baddr] = (payload, link.rx_delivered + link.rx_dropped, t)
                             rx.head = (slot + 1) & rx.mask
-                            orders[baddr] = link.rx_delivered + link.rx_dropped
                             link.rx_delivered += 1
                         done += 1
                         passed = 0

@@ -2,10 +2,12 @@
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import random
 import signal
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from tinyring import (DESC_BYTES, MAX_FRAME, META_DD, META_EOP, META_RS, Agent,
                       Frame, MemEnv, Nic, PipelineStalled, ProtocolViolation,
                       RefPipeline, TranslationFault, build_pipeline, forward_trace,
                       gen_traffic, identity, macswap, ownership, policer, service_rate)
-from tinyring.agent import _reject_output_lengths
+from tinyring.agent import _reject_due, _reject_length, _reject_output_lengths
 
 U64 = struct.Struct("<Q")
 
@@ -307,26 +309,42 @@ class TestRingProtocol:
             assert agent.processed == 1
 
     @pytest.mark.parametrize("call", ["poll", "receive"])
-    def test_received_length_above_max_frame_blames_the_descriptor(self, call):
+    def test_received_length_above_max_frame_blames_the_descriptor(self, call, monkeypatch):
         # a corrupt receive metadata word: done, with a length above MAX_FRAME;
-        # a processor that skips the packet used to pass it silently
+        # a processor that skips the packet used to pass it silently. A
+        # MAX_FRAME-byte packet is the longest one accepted: poll processes
+        # it, receive returns it, and neither enters _reject_length for it
         env, nic, agent = make(num_outputs=2, flush_period=1)
-        nic.inject_rx(Frame(b"a" * 64))
+        nic.inject_rx(Frame(b"a" * MAX_FRAME))
         nic.inject_rx(Frame(b"b" * 64))
         nic.step_device(2)
-        assert agent.poll(identity())
-        U64.pack_into(env.dma, nic.reg_read("RDBA") + DESC_BYTES + 8,
-                      (MAX_FRAME + 1) | META_EOP | META_DD)
-        seen = []
+        seen, rejected = [], []
 
         def skip(buf, length, num_outputs):
             seen.append(length)
             return [0] * num_outputs
 
+        def spy(slot, n):
+            rejected.append((slot, n))
+            _reject_length(slot, n)
+
+        monkeypatch.setattr(tinyring.agent, "_reject_length", spy)
+        if call == "poll":
+            assert agent.poll(skip)
+            assert seen == [MAX_FRAME]
+        else:
+            buf, n = agent.receive()
+            assert (bytes(buf[:n]), n) == (b"a" * MAX_FRAME, MAX_FRAME)
+            agent.transmit([0, 0])
+        assert rejected == []
+        seen.clear()
+        U64.pack_into(env.dma, nic.reg_read("RDBA") + DESC_BYTES + 8,
+                      (MAX_FRAME + 1) | META_EOP | META_DD)
         message = r"^receive slot 1: the device reports length 2049, above MAX_FRAME \(2048\)$"
         with pytest.raises(ValueError, match=message):
             agent.poll(skip) if call == "poll" else agent.receive()
         assert seen == []
+        assert rejected == [(1, MAX_FRAME + 1)]
         assert agent.processed == 1
         # nothing was left outstanding: the next poll blames the descriptor again
         with pytest.raises(ValueError, match=message):
@@ -554,20 +572,25 @@ class TestRun:
         ([0, 10.5, 7], 0, [0]),
         ([0, True, 2], 0, [0]),
         ([0, 10, 7], 10, [0, 10]),
+        ([0, 10, 9], 10, [0, 10]),
         ([0.0, 1, 2], 0, []),
-    ], ids=["float", "bool", "decreasing", "first"])
+    ], ids=["float", "bool", "decreasing", "one_below", "first"])
     def test_invalid_due_entry_rejected(self, due, now, inject_times):
         # 10.5 used to become the device clock and a decreasing entry was
-        # injected late; the frames before the bad entry stay injected
+        # injected late; the frames before the bad entry stay injected, each
+        # with the step it entered the wire, and forward in order
         _, nic, agent = make(ring_size=16)
         frames = gen_traffic(3, 64, 5)
         before = [dataclasses.astuple(f) for f in frames]
         with pytest.raises(ValueError, match=r"due\["):
             forward_trace(agent, frames, identity(), due=due)
+        link = nic.link
         assert nic.now == now
-        assert nic.link.inject_times == inject_times
-        assert nic.link.injected == len(inject_times)
+        assert link.injected == len(inject_times)
+        assert list(link.rx_times) == inject_times[link.rx_delivered + link.rx_dropped:]
         assert [dataclasses.astuple(f) for f in frames] == before
+        agent.run(identity(), len(inject_times))
+        assert [(f.order, f.inject_time) for f in nic.drain_tx(0)] == list(enumerate(inject_times))
 
     def test_buffer_set_is_fixed(self):
         _, nic, agent = make(ring_size=64)
@@ -595,6 +618,28 @@ class TestFlowControlledForwarding:
         forward_trace(agent, gen_traffic(100, 64, 9), identity())
         tails = {nic.reg_read("TDT", q) for q in range(4)}
         assert len(tails) == 1
+
+    def test_state_does_not_grow_with_frames_forwarded(self):
+        # the device keeps one record per buffer and the link one inject
+        # time per frame on the wire, nothing per frame ever injected: after
+        # the first 2500 frames, 7500 more through the same pipeline leave
+        # traced memory within 16 KiB, where a record of 40 B per frame
+        # would add some 300 KB
+        _, nic, agent = make(ring_size=16)
+        frames = gen_traffic(2500, 64, 7)
+        nf = identity()
+        used = []
+        tracemalloc.start()
+        try:
+            for _ in range(4):
+                assert forward_trace(agent, frames, nf) == len(frames)
+                assert len(nic.drain_tx(0)) == len(frames)
+                gc.collect()
+                used.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert nic.link.injected == 4 * len(frames)
+        assert used[-1] - used[0] < 16 * 1024, used
 
 
 # the end of what PipelineStalled says when queue 1 alone lags processed,
@@ -722,6 +767,7 @@ def test_forward_trace_bounds_a_device_that_never_drains(count, due, published, 
 
 def assert_frames_accounted(link):
     assert link.injected == link.rx_delivered + link.rx_dropped + len(link.rx_pending)
+    assert len(link.rx_times) == len(link.rx_pending)  # each frame on the wire has its inject time
 
 
 class TestFaultInjection:
@@ -1020,7 +1066,19 @@ def test_forward_trace_matches_plain_loop(data):
                 link.rx_dropped, [[(f.order, f.inject_time, f.drain_time, f.payload)
                                    for f in nic.drain_tx(q)] for q in range(outputs)])
 
-    assert run(forward_trace) == run(plain_forward)
+    # forward_trace tests each due entry inline and calls _reject_due only to
+    # raise, so a valid schedule, equal entries included, never reaches it
+    rejected = []
+
+    def spy(due, k):
+        rejected.append(k)
+        _reject_due(due, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tinyring.agent, "_reject_due", spy)
+        got = run(forward_trace)
+    assert rejected == []
+    assert got == run(plain_forward)
 
 
 def test_stalled_timed_trace_runs_every_frame_first():

@@ -365,15 +365,17 @@ class TestLink:
         nic.inject_rx(a)
         nic.inject_rx(b)
         assert list(nic.link.rx_pending) == [a, b]
-        assert nic.link.inject_times == [0, 0]
+        assert list(nic.link.rx_times) == [0, 0]
         nic.step_device()
         nic.step_device()
+        assert not nic.link.rx_times
         out = emit_received(env, nic, tx, bufs, 2)
-        assert [(f.payload, f.order) for f in out] == [(a.payload, 0), (b.payload, 1)]
+        assert [(f.payload, f.order, f.inject_time) for f in out] == [
+            (a.payload, 0, 0), (b.payload, 1, 0)]
 
     def test_a_frame_injected_again_is_a_new_packet(self):
         # injection only reads the frame: the link records one inject time
-        # per order, so one Frame object injected twice before its first
+        # per injection, so one Frame object injected twice before its first
         # delivery, and once more after it, is emitted as orders 0, 1 and 2
         env = MemEnv()
         nic = Nic(env)
@@ -390,7 +392,7 @@ class TestLink:
         out = emit_received(env, nic, tx, bufs, 3)
         assert [(f.order, f.inject_time) for f in out] == [(0, 0), (1, 1), (2, 3)]
         assert dataclasses.astuple(frame) == (b"t" * 64, None, None, None)
-        assert nic.link.inject_times == [0, 1, 3]
+        assert (nic.link.injected, list(nic.link.rx_times)) == (3, [])
 
     def test_inject_oversized(self):
         with pytest.raises(ValueError):
@@ -419,8 +421,7 @@ class TestLink:
         assert not link.rx_pending
         nic.inject_rx(Frame(b"y" * 64))
         nic.step_device(4)
-        assert link.injected == link.rx_delivered + link.rx_dropped + len(link.rx_pending)
-        assert link.rx_delivered == 1
+        assert (link.injected, link.rx_delivered, link.rx_dropped) == (1, 1, 0)
 
     @settings(deadline=None)
     @given(payload=payloads_at_the_rule_edges())
@@ -436,7 +437,7 @@ class TestLink:
         nic = Nic(MemEnv())
         nic.inject_rx(Frame(b"z" * 64))
         link = nic.link
-        times, pending = list(link.inject_times), list(link.rx_pending)
+        times, pending = list(link.rx_times), list(link.rx_pending)
         frame = Frame(payload)
         calls = []
 
@@ -454,12 +455,13 @@ class TestLink:
                 assert str(info.value) == want
         if want is None:
             assert not calls
-            assert link.inject_times == times + [0]
+            assert list(link.rx_times) == times + [0]
             assert list(link.rx_pending) == pending + [frame]
         else:
             assert len(calls) == 1 and calls[0] is payload
-            assert link.inject_times == times
+            assert list(link.rx_times) == times
             assert list(link.rx_pending) == pending
+        assert link.injected == len(link.rx_pending)
 
     def test_drain_unknown_queue(self):
         with pytest.raises(ValueError):
@@ -766,22 +768,30 @@ class TestArenaBounds:
         env = MemEnv()
         nic = Nic(env)
         ring, bufs = rx_ring(env, nic)
+        tx, _, _ = tx_ring(env, nic)
         U64.pack_into(env.dma, ring.phys_base, env.arena_size + 100)
         first, second = Frame(b"a" * 64), Frame(b"b" * 64)
         nic.inject_rx(first)
-        nic.inject_rx(second)
+        with pytest.raises(TranslationFault):
+            nic.step_device(4)
+        nic.inject_rx(second)  # at step 1; first entered the wire at step 0
         with pytest.raises(TranslationFault):
             nic.step_device(4)
         link = nic.link
         assert list(link.rx_pending) == [first, second]
+        assert list(link.rx_times) == [0, 1]
         assert (link.injected, link.rx_delivered, link.rx_dropped) == (2, 0, 0)
         assert nic.reg_read("RDH") == 0
         assert U64.unpack_from(env.dma, ring.phys_base + 8)[0] & META_DD == 0
-        # the frame was not lost: a repaired descriptor delivers it
+        # the frame was not lost: a repaired descriptor delivers it, and each
+        # frame keeps its own order and inject time through the faults
         U64.pack_into(env.dma, ring.phys_base, bufs.phys_base)
         assert nic.step_device(4) == 2
         assert bytes(env.dma[bufs.phys_base:bufs.phys_base + 64]) == b"a" * 64
         assert link.injected == link.rx_delivered == 2
+        out = emit_received(env, nic, tx, bufs, 2)
+        assert [(f.payload, f.order, f.inject_time) for f in out] == [
+            (first.payload, 0, 0), (second.payload, 1, 1)]
 
     def test_rx_buffer_straddling_arena_end(self):
         env = MemEnv()
@@ -1015,14 +1025,16 @@ def test_conservation():
     nic = Nic(env)
     rx_ring(env, nic, size=4)
     rng = random.Random(5)
+    injected = 0
     for _ in range(300):
         if rng.random() < 0.7:
             nic.inject_rx(Frame(rng.randbytes(64)))
+            injected += 1
         nic.step_device(rng.randint(0, 2))
     while nic.link.rx_pending:
         nic.step_device(4)
     link = nic.link
-    assert link.injected == link.rx_delivered + link.rx_dropped
+    assert link.rx_delivered + link.rx_dropped == link.injected == injected
 
 
 @settings(max_examples=25, deadline=None)

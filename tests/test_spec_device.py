@@ -217,8 +217,8 @@ def assert_same(env, nic, spec, injected):
     assert ((link.injected, link.rx_delivered, link.rx_dropped, nic.now)
             == (spec.injected, spec.delivered, spec.dropped, spec.now))
     assert [f.payload for f in link.rx_pending] == list(spec.wire)
-    assert link.inject_times == spec.inject_times
-    assert link.buffer_meta == spec.stamps
+    # the spec keeps every inject time; the link keeps those of the wire
+    assert list(link.rx_times) == spec.inject_times[spec.delivered + spec.dropped:]
     assert all(dataclasses.astuple(f)[1:] == (None, None, None) for f in injected)
     for q, want in enumerate(spec.emitted):
         assert frames(nic.drain_tx(q)) == frames(want)
