@@ -235,16 +235,12 @@ class Agent:
 
         The bound is the earliest transmit head across queues, read from
         the head write-back words: a slot is reused only once every queue
-        is done with it. No-op when nothing new has drained; returns before
-        reading any head write-back word when the tail already sits at the
-        bound processed - 1 + ring_size, which no head can raise until
-        another packet is processed. An empty poll calls it only when the
-        tail is below that bound; finish() calls it unconditionally.
+        is done with it. No-op when nothing new has drained. An empty poll
+        calls it only when the tail is below its bound processed - 1 +
+        ring_size; finish() calls it unconditionally.
         """
         p = self.processed
         mask = self._mask
-        if self._rdt_unwrapped == p + mask:
-            return
         earliest = p
         for h in self._heads:
             # mod-size head to unwrapped: heads trail processed by < ring_size
@@ -487,21 +483,20 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
     message. The count runs only on the steps after an empty poll short of
     quiescence, so a poll that files a packet pays nothing for it.
 
-    Raises ValueError, before anything is injected, for a device_budget
-    that is not an integer of at least 1, a deadline or max_packets that is
-    not None or an integer of at least 0, or a due whose length is not
-    len(frames). An entry of due that is not an integer (a bool included)
-    or is smaller than the entry before it raises ValueError when the loop
-    first reaches it, before it can set the clock or inject the frame; the
-    frames before it stay injected. Entries are checked one at a time, as
-    the loop reads them, so a schedule costs no separate pass over it.
+    Raises ValueError, before anything is injected or the clock moves, for
+    a device_budget that is not an integer of at least 1, a deadline or
+    max_packets that is not None or an integer of at least 0, or a due
+    whose length is not len(frames) or that holds an entry that is not an
+    integer (a bool included) or is smaller than the entry before it; the
+    message names the first such entry.
     """
     _check_int(device_budget, "device budget", 1)
     if due is not None:
         if len(due) != len(frames):
             raise ValueError(f"due has {len(due)} entries for {len(frames)} frames")
-        if due and type(due[0]) is not int:
-            _reject_due(due, 0)
+        for k, d in enumerate(due):
+            if type(d) is not int or k and d < due[k - 1]:
+                _reject_due(due, k)
     if deadline is not None:
         _check_int(deadline, "deadline", 0)
     if max_packets is not None:
@@ -533,10 +528,7 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
                     k += 1
                     if k == n:
                         break
-                    d = due[k]
-                    if type(d) is not int or d < nxt:
-                        _reject_due(due, k)
-                    nxt = d
+                    nxt = due[k]
         worked = step(device_budget)
         if poll(processor):
             count += 1

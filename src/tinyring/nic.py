@@ -354,11 +354,12 @@ class Nic:
         nothing to do). Returns the number of work units spent; dropping an
         undeliverable frame costs one unit like a completion does.
 
-        A step in which no class has work (the wire is empty or the receive
-        ring is disabled, and no enabled transmit ring has head != tail) is
-        idle: after that one check it returns 0, with the clock advanced,
-        the cursor where it was and no memory touched, which is what a lap
-        over idle classes would leave.
+        A step in which the wire is empty and no enabled transmit ring has
+        head != tail is idle: after that one check it returns 0, with the
+        clock advanced, the cursor where it was and no memory touched, which
+        is what a lap over idle classes would leave. Frames on the wire of a
+        disabled receive ring give the receive class no work either: the lap
+        serves nothing and leaves the same.
 
         A transmit completion emits a Frame carrying the order and inject
         time from its buffer's record, which the last receive into that
@@ -404,7 +405,7 @@ class Nic:
         now = self.now = self.now + 1
         link = self.link
         wire = link.rx_pending
-        if not (wire and rx.enabled):
+        if not wire:
             # the idle step: no class has work, so a lap would serve nothing
             # and end on the class it began on, having touched no memory
             for ring in self._txs:

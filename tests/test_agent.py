@@ -406,6 +406,14 @@ class TestBatching:
         agent.poll(identity())  # comes up empty, publishes the batch
         assert nic.reg_read("TDT", 0) == 3
 
+    def test_finish_on_a_fresh_pipeline_touches_nothing(self):
+        # nothing is unpublished at processed 0: without _flush's guard,
+        # finish() would set RS on the last descriptor of every transmit ring
+        env, nic, agent = build_pipeline(8, 2)
+        before = bytes(env.dma)
+        agent.finish()
+        assert (bytes(env.dma), nic.now) == (before, 0)
+
 
 class TestRecycle:
     def drained_agent(self):
@@ -568,29 +576,27 @@ class TestRun:
                           due=list(range(length)))
         assert (nic.now, nic.link.injected) == (0, 0)
 
-    @pytest.mark.parametrize("due,now,inject_times", [
-        ([0, 10.5, 7], 0, [0]),
-        ([0, True, 2], 0, [0]),
-        ([0, 10, 7], 10, [0, 10]),
-        ([0, 10, 9], 10, [0, 10]),
-        ([0.0, 1, 2], 0, []),
+    @pytest.mark.parametrize("due,bad", [
+        ([0, 10.5, 7], 1),
+        ([0, True, 2], 1),
+        ([0, 10, 7], 2),
+        ([0, 10, 9], 2),
+        ([0.0, 1, 2], 0),
     ], ids=["float", "bool", "decreasing", "one_below", "first"])
-    def test_invalid_due_entry_rejected(self, due, now, inject_times):
+    def test_invalid_due_entry_rejected(self, due, bad):
         # 10.5 used to become the device clock and a decreasing entry was
-        # injected late; the frames before the bad entry stay injected, each
-        # with the step it entered the wire, and forward in order
+        # injected late; the whole schedule is checked before anything is
+        # injected, so the error names the first bad entry and leaves the
+        # clock, the wire and the rings as they were
         _, nic, agent = make(ring_size=16)
         frames = gen_traffic(3, 64, 5)
         before = [dataclasses.astuple(f) for f in frames]
-        with pytest.raises(ValueError, match=r"due\["):
+        with pytest.raises(ValueError, match=rf"^due\[{bad}\] "):
             forward_trace(agent, frames, identity(), due=due)
-        link = nic.link
-        assert nic.now == now
-        assert link.injected == len(inject_times)
-        assert list(link.rx_times) == inject_times[link.rx_delivered + link.rx_dropped:]
+        assert (nic.now, nic.link.injected) == (0, 0)
         assert [dataclasses.astuple(f) for f in frames] == before
-        agent.run(identity(), len(inject_times))
-        assert [(f.order, f.inject_time) for f in nic.drain_tx(0)] == list(enumerate(inject_times))
+        agent.run(identity(), len(frames))
+        assert nic.drain_tx(0) == []
 
     def test_buffer_set_is_fixed(self):
         _, nic, agent = make(ring_size=64)
@@ -683,6 +689,16 @@ class TestStalledPipeline:
         agent.transmit([64, 64])
         with pytest.raises(PipelineStalled, match=QUEUE_1_STOPPED):
             agent.finish()
+
+    def test_names_every_lagging_queue(self):
+        _, nic, agent = make(ring_size=8, num_outputs=3)
+        nic.reg_write("TXEN", 0, 1)
+        nic.reg_write("TXEN", 0, 2)
+        stopped = r"and its device head has not reached its tail \(a stopped queue\)"
+        with pytest.raises(PipelineStalled,
+                           match=rf": queue 1's head write-back .* {stopped}; "
+                                 rf"queue 2's head write-back .* {stopped}$"):
+            forward_trace(agent, gen_traffic(32, 64, 1), identity())
 
 
 class StuckHeadNic(Nic):
@@ -1066,8 +1082,9 @@ def test_forward_trace_matches_plain_loop(data):
                 link.rx_dropped, [[(f.order, f.inject_time, f.drain_time, f.payload)
                                    for f in nic.drain_tx(q)] for q in range(outputs)])
 
-    # forward_trace tests each due entry inline and calls _reject_due only to
-    # raise, so a valid schedule, equal entries included, never reaches it
+    # forward_trace checks the schedule in one pass before injecting and
+    # calls _reject_due only to raise, so a valid schedule, equal entries
+    # included, never reaches it
     rejected = []
 
     def spy(due, k):
@@ -1079,6 +1096,25 @@ def test_forward_trace_matches_plain_loop(data):
         got = run(forward_trace)
     assert rejected == []
     assert got == run(plain_forward)
+
+
+# the example count is left to the profile, so CI's deep pass runs ten times more
+@settings(deadline=None)
+@given(data=st.data())
+def test_forward_trace_checks_the_whole_schedule_first(data):
+    # one corrupt entry anywhere in a valid schedule: forward_trace names it
+    # before it injects a frame or moves the clock
+    due = sorted(data.draw(st.lists(st.integers(0, 500), min_size=1, max_size=40),
+                           label="valid schedule"))
+    j = data.draw(st.integers(0, len(due) - 1), label="j")
+    bad = [float(due[j]), due[j] + 0.5, True]
+    if j:
+        bad.append(due[j - 1] - data.draw(st.integers(1, 100), label="below by"))
+    due[j] = data.draw(st.sampled_from(bad), label="due[j]")
+    _, nic, agent = make(ring_size=8)
+    with pytest.raises(ValueError, match=rf"^due\[{j}\] "):
+        forward_trace(agent, gen_traffic(len(due), 64, j), identity(), due=due)
+    assert (nic.now, nic.link.injected) == (0, 0)
 
 
 def test_stalled_timed_trace_runs_every_frame_first():

@@ -204,8 +204,11 @@ class TestRegisters:
     @pytest.mark.parametrize("writes", [
         [("RDBA", 8)],                                # base not 16-byte aligned
         [("RDBA", 4096 - 4 * DESC_BYTES)],            # ring runs past the arena
-        [("RDLEN", 16), ("RDT", 12), ("RDLEN", 8)],   # tail left at or above the length
-    ], ids=["misaligned", "past-arena", "tail-beyond-length"])
+        [("RDLEN", 16), ("RDT", 12), ("RDLEN", 8)],   # tail left above the length
+        [("RDH", 8)],                                 # head at the length
+        [("RDLEN", 16), ("RDT", 8), ("RDLEN", 8)],    # tail left at the length
+    ], ids=["misaligned", "past-arena", "tail-beyond-length", "head-at-length",
+            "tail-at-length"])
     def test_enable_validates_ring_placement(self, writes):
         nic = Nic(MemEnv(arena_size=4096))
         nic.reg_write("RDLEN", 8)
@@ -214,6 +217,17 @@ class TestRegisters:
         with pytest.raises(ValueError):
             nic.reg_write("RXEN", 1)
         assert nic.reg_read("RXEN") == 0
+
+    def test_arena_end_is_accepted(self):
+        # the last 4-byte word of the arena and a ring that ends exactly at
+        # the arena's end both fit
+        nic = Nic(MemEnv(arena_size=4096))
+        nic.reg_write("TDWBA", 4092)
+        assert nic.reg_read("TDWBA") == 4092
+        nic.reg_write("RDBA", 4096 - 8 * DESC_BYTES)
+        nic.reg_write("RDLEN", 8)
+        nic.reg_write("RXEN", 1)
+        assert nic.reg_read("RXEN") == 1
 
     def test_enable_validates_ring_length(self):
         env = MemEnv()
