@@ -422,11 +422,6 @@ def _reject_output_lengths(lengths: Sequence[int]) -> None:
                              f"in [0, {MAX_FRAME}]")
 
 
-def _reject_due(due: Sequence[int], k: int) -> None:
-    raise ValueError(f"due[{k}] is {due[k]!r}: each entry must be an integer, not a "
-                     f"bool, and no smaller than the entry before it")
-
-
 def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
                   device_budget: int = 1, *, due: Sequence[int] | None = None,
                   deadline: int | None = None, max_packets: int | None = None) -> int:
@@ -496,7 +491,8 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
             raise ValueError(f"due has {len(due)} entries for {len(frames)} frames")
         for k, d in enumerate(due):
             if type(d) is not int or k and d < due[k - 1]:
-                _reject_due(due, k)
+                raise ValueError(f"due[{k}] is {d!r}: each entry must be an integer, not "
+                                 f"a bool, and no smaller than the entry before it")
     if deadline is not None:
         _check_int(deadline, "deadline", 0)
     if max_packets is not None:

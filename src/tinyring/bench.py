@@ -117,11 +117,9 @@ _PCAP_MAGICS = (0xA1B2C3D4, 0xA1B23C4D)  # microsecond, nanosecond timestamps
 
 
 class PcapFormatError(Exception):
-    """Capture file violates the classic pcap layout."""
-
-    def __init__(self, message: str, record_index: int | None = None) -> None:
-        super().__init__(message)
-        self.record_index = record_index
+    """Capture file violates the classic pcap layout; the message names the
+    record, as in "record 3: payload truncated", unless the global header is
+    at fault."""
 
 
 def parse_pcap(data: bytes) -> list[Frame]:
@@ -146,13 +144,13 @@ def parse_pcap(data: bytes) -> list[Frame]:
     index = 0
     while offset < len(data):
         if len(data) - offset < record.size:
-            raise PcapFormatError(f"record {index}: truncated header", record_index=index)
+            raise PcapFormatError(f"record {index}: truncated header")
         incl_len = record.unpack_from(data, offset)[2]
         offset += record.size
         if incl_len == 0:
-            raise PcapFormatError(f"record {index}: empty capture record", record_index=index)
+            raise PcapFormatError(f"record {index}: empty capture record")
         if len(data) - offset < incl_len:
-            raise PcapFormatError(f"record {index}: payload truncated", record_index=index)
+            raise PcapFormatError(f"record {index}: payload truncated")
         frames.append(Frame(bytes(data[offset:offset + min(incl_len, MAX_FRAME)])))
         offset += incl_len
         index += 1
@@ -250,14 +248,13 @@ def _search_max_throughput(trace: Sequence[Frame], nf: Processor | str,
     return measured[lo * SEARCH_GRANULARITY], measured
 
 
-def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
-                        loss_bound: float = LOSS_BOUND, *,
+def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int, *,
                         packet_size: int = DEFAULT_PACKET_SIZE,
                         trace_length: int = DEFAULT_TRACE_LENGTH,
                         seed: int = 0, frames: Sequence[Frame] | None = None,
                         device_budget: int = DEVICE_BUDGET) -> LoadPointResult:
     """The measured result of a load on the SEARCH_GRANULARITY grid at which
-    loss stays under the bound.
+    loss stays under LOSS_BOUND, as in run_sweep.
 
     The trace is frames, or else gen_traffic(trace_length, packet_size, seed).
     Binary search over the grid up to MAX_LOAD_PER_BUDGET * device_budget.
@@ -268,16 +265,11 @@ def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int,
     non-decreasing in offered load, so a higher grid load may pass as
     well: with ("identity", 8, 2) and device_budget=2 the search returns
     592, loads 608 and 624 fail, and 640 to 672 lose nothing. Raises
-    ValueError unless loss_bound is a real number in (0, 1], not a bool,
-    checked before any trace is built, and device_budget an integer of at
-    least 1, and NoSustainableLoad when even the lowest grid load loses
-    too much.
+    ValueError unless device_budget is an integer of at least 1, and
+    NoSustainableLoad when even the lowest grid load loses too much.
     """
-    if (isinstance(loss_bound, bool) or not isinstance(loss_bound, Real)
-            or not 0 < loss_bound <= 1):
-        raise ValueError(f"loss bound must be a real number in (0, 1], got {loss_bound!r}")
     trace = gen_traffic(trace_length, packet_size, seed) if frames is None else frames
-    return _search_max_throughput(trace, nf, ring_size, num_outputs, loss_bound,
+    return _search_max_throughput(trace, nf, ring_size, num_outputs, LOSS_BOUND,
                                   device_budget)[0]
 
 

@@ -354,12 +354,13 @@ class Nic:
         nothing to do). Returns the number of work units spent; dropping an
         undeliverable frame costs one unit like a completion does.
 
-        A step in which the wire is empty and no enabled transmit ring has
+        A step in which the wire is empty and no transmit ring has
         head != tail is idle: after that one check it returns 0, with the
         clock advanced, the cursor where it was and no memory touched, which
-        is what a lap over idle classes would leave. Frames on the wire of a
-        disabled receive ring give the receive class no work either: the lap
-        serves nothing and leaves the same.
+        is what a lap over idle classes would leave. A disabled ring with
+        work finds nothing to serve in the lap, whether it is a transmit
+        ring with head != tail or a receive ring with frames on the wire,
+        so the lap leaves the same.
 
         A transmit completion emits a Frame carrying the order and inject
         time from its buffer's record, which the last receive into that
@@ -409,7 +410,7 @@ class Nic:
             # the idle step: no class has work, so a lap would serve nothing
             # and end on the class it began on, having touched no memory
             for ring in self._txs:
-                if ring.head != ring.tail and ring.enabled:
+                if ring.head != ring.tail:
                     break
             else:
                 return 0

@@ -20,7 +20,9 @@ from tinyring import (DESC_BYTES, MAX_FRAME, META_DD, META_EOP, META_RS, Agent,
                       Frame, MemEnv, Nic, PipelineStalled, ProtocolViolation,
                       RefPipeline, TranslationFault, build_pipeline, forward_trace,
                       gen_traffic, identity, macswap, ownership, policer, service_rate)
-from tinyring.agent import _reject_due, _reject_length, _reject_output_lengths
+from tinyring.agent import _reject_length, _reject_output_lengths
+
+from lockstep import drained, plain_forward
 
 U64 = struct.Struct("<Q")
 
@@ -197,6 +199,25 @@ class TestRingProtocol:
         nic.step_device(4)
         assert agent.processed == 1
         assert [f.payload for f in nic.drain_tx(0)] == [b"e" * 64]
+
+    def test_outstanding_packet_is_not_quiescent(self):
+        # every head write-back reads processed (0), so only the packet a
+        # raising processor left outstanding keeps the agent from
+        # quiescence; finish() must stall on it, not return with it
+        env, nic, agent = make(8, 1)
+        nic.inject_rx(gen_traffic(1, 64, 0)[0])
+        nic.step_device(1)
+
+        def boom(buf, length, num_outputs):
+            raise RuntimeError("processor failed")
+
+        with pytest.raises(RuntimeError):
+            agent.poll(boom)
+        assert struct.unpack_from("<I", env.dma, nic.reg_read("TDWBA"))[0] == 0
+        assert agent.processed == 0
+        assert not agent.quiescent()
+        with pytest.raises(PipelineStalled, match="^step 2: submitted packets can never drain: "):
+            agent.finish()
 
     @pytest.mark.parametrize("flush, recycle", [(1, 1), (2, 4), (8, 64)])
     def test_transmit_after_raising_processor_files_what_poll_files(self, flush, recycle):
@@ -1007,9 +1028,7 @@ def test_timed_trace_resumes_across_deadline_segments(data):
             # forward_trace's own stop test, checked where each segment ends;
             # a segment that does not end the run reaches its deadline, so a
             # clock that stops fails here instead of spinning forever
-            while nic.now < deadline and not (
-                    link.injected == n and not link.rx_pending
-                    and agent.processed == link.rx_delivered and agent.quiescent()):
+            while nic.now < deadline and not drained(agent, n):
                 k = link.injected
                 end = min(nic.now + segment, deadline)
                 forward_trace(agent, frames[k:], processor, budget, due=due[k:],
@@ -1022,31 +1041,8 @@ def test_timed_trace_resumes_across_deadline_segments(data):
     assert run(segment) == run(None)
 
 
-def plain_forward(agent, frames, processor, budget, due, deadline):
-    """forward_trace's timed mode without its clock jumps: every step is run.
-
-    Each step must advance the clock by one, so a device whose clock stops
-    fails here instead of spinning forever.
-    """
-    nic = agent.nic
-    link = nic.link
-    n = len(frames)
-    k = count = 0
-    while deadline is None or nic.now < deadline:
-        while k < n and due[k] <= nic.now:
-            nic.inject_rx(frames[k])
-            k += 1
-        now = nic.now
-        nic.step_device(budget)
-        assert nic.now == now + 1
-        count += agent.poll(processor)
-        if (k == n and not link.rx_pending and agent.processed == link.rx_delivered
-                and agent.quiescent()):
-            break
-    return count
-
-
 # the example count is left to the profile, so CI's deep pass runs ten times more
+@pytest.mark.deep
 @settings(deadline=None)
 @given(data=st.data())
 def test_forward_trace_matches_plain_loop(data):
@@ -1082,23 +1078,11 @@ def test_forward_trace_matches_plain_loop(data):
                 link.rx_dropped, [[(f.order, f.inject_time, f.drain_time, f.payload)
                                    for f in nic.drain_tx(q)] for q in range(outputs)])
 
-    # forward_trace checks the schedule in one pass before injecting and
-    # calls _reject_due only to raise, so a valid schedule, equal entries
-    # included, never reaches it
-    rejected = []
-
-    def spy(due, k):
-        rejected.append(k)
-        _reject_due(due, k)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tinyring.agent, "_reject_due", spy)
-        got = run(forward_trace)
-    assert rejected == []
-    assert got == run(plain_forward)
+    assert run(forward_trace) == run(plain_forward)
 
 
 # the example count is left to the profile, so CI's deep pass runs ten times more
+@pytest.mark.deep
 @settings(deadline=None)
 @given(data=st.data())
 def test_forward_trace_checks_the_whole_schedule_first(data):
@@ -1140,6 +1124,17 @@ def test_stalled_timed_trace_runs_every_frame_first():
     got = run(stalls)
     assert got == run(plain_forward)
     assert got[3:6] == (24, 7, 17)  # injected, delivered, dropped
+
+
+def test_dead_steps_before_a_clock_jump_do_not_count_after_it():
+    # With the receive ring disabled, frame 0 never leaves the wire: steps 1
+    # and 2 are dead and the clock jumps to frame 1's due step. The two dead
+    # steps that end the run must both come after the jump: 101 and 102.
+    _, nic, agent = make(8, 1)
+    nic.reg_write("RXEN", 0)
+    with pytest.raises(PipelineStalled, match="^step 102: nothing can move"):
+        forward_trace(agent, gen_traffic(2, 64, 0), identity(), due=[0, 100])
+    assert nic.now == 102
 
 
 class RingMachine(RuleBasedStateMachine):
@@ -1247,4 +1242,4 @@ class RingMachine(RuleBasedStateMachine):
 # --hypothesis-profile=deep
 RingMachine.TestCase.settings = settings(max_examples=3 * settings.default.max_examples,
                                          stateful_step_count=60, deadline=None)
-TestRingMachine = RingMachine.TestCase
+TestRingMachine = pytest.mark.deep(RingMachine.TestCase)

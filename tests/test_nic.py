@@ -437,6 +437,7 @@ class TestLink:
         nic.step_device(4)
         assert (link.injected, link.rx_delivered, link.rx_dropped) == (1, 1, 0)
 
+    @pytest.mark.deep
     @settings(deadline=None)
     @given(payload=payloads_at_the_rule_edges())
     def test_inject_applies_the_payload_rule(self, payload):

@@ -90,6 +90,7 @@ def written_out(nf, payload):
 
 
 # example count from the profile: CI's deep step runs it ten times longer
+@pytest.mark.deep
 @settings(deadline=None)
 @given(nf=st.sampled_from(sorted(NFS)), n=st.integers(min_value=1, max_value=4),
        trace=st.lists(st.binary(min_size=1, max_size=300), max_size=30))

@@ -25,6 +25,7 @@ import dataclasses
 import random
 from collections import deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,8 @@ from tinyring import (DESC_BYTES, META_DD, META_EOP, Descriptor, Frame,
 ARENA = 4096
 RX_REGS = ("RDBA", "RDLEN", "RDH", "RDT", "RXEN")
 TX_REGS = ("TDBA", "TDLEN", "TDH", "TDT", "TXEN", "TDWBA")
+
+pytestmark = pytest.mark.deep
 
 
 class SpecDevice:
