@@ -88,9 +88,13 @@ def percentile(values: Sequence[int], pct: float) -> int:
 
 
 def gen_traffic(count: int, size: int, seed: int) -> list[Frame]:
-    """Deterministic frames whose first 8 bytes are a little-endian sequence number."""
+    """Deterministic frames whose first 8 bytes are a little-endian sequence number.
+
+    The same seed, an integer >= 0, always gives the same payloads.
+    """
     _check_int(count, "frame count", 0)
     _check_int(size, "packet size", 12, MAX_FRAME)
+    _check_int(seed, "seed", 0)  # Random(None) is unseeded, and Random(-7) is Random(7)
     # one integer per payload: randbytes(n) is getrandbits(8 * n).to_bytes(n, "little"),
     # so this is seq.to_bytes(8, "little") + randbytes(size - 8) in one conversion
     draw = random.Random(seed).getrandbits

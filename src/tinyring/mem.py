@@ -54,10 +54,6 @@ class DmaRegion:
     size: int
     view: memoryview  # writable window over this region's arena bytes
 
-    def __repr__(self) -> str:
-        return (f"DmaRegion(virt=0x{self.virt_base:x}, "
-                f"phys=0x{self.phys_base:x}, size={self.size})")
-
 
 class MemEnv:
     """Execution environment owning the DMA arena and the page map."""

@@ -252,7 +252,8 @@ class Nic:
             for reg, field in (("TDBA", "base"), ("TDLEN", "length"), ("TDH", "head"),
                                ("TDT", "tail"), ("TXEN", "enabled"), ("TDWBA", "wb")):
                 self._regs[reg, q] = (ring, field)
-        # round-robin cursor over the service classes, and the class after each one
+        # round-robin cursor over the service classes (0 is RX, 1 + q is TX q)
+        # and each class's successor, c + 1 with the last wrapping to 0
         self._classes = 1 + num_tx_queues
         self._succ = (*range(1, self._classes), 0)
         self._rr = 0
@@ -349,10 +350,16 @@ class Nic:
     def step_device(self, max_work: int = 1) -> int:
         """Advance the clock one step and retire up to max_work descriptors.
 
-        Service rotates fairly over the receive ring and every enabled
-        transmit queue (persistent round-robin cursor, skipping classes with
-        nothing to do). Returns the number of work units spent; dropping an
-        undeliverable frame costs one unit like a completion does.
+        Service rotates fairly over the classes, the receive ring (class 0)
+        and transmit queue q (class 1 + q), with a persistent round-robin
+        cursor and one rule for every class. A class is busy when its ring
+        is enabled and has work: frames on the wire for class 0, head !=
+        tail for a transmit class. A busy class is served one work unit and
+        resets the idle count. An idle class ends the step once that count
+        has covered every class, and otherwise adds to it. Unless the step
+        ends there, the cursor then moves to the class's successor. Returns
+        the number of work units spent; dropping an undeliverable frame
+        costs one unit like a completion does.
 
         A step in which the wire is empty and no transmit ring has
         head != tail is idle: after that one check it returns 0, with the
@@ -418,18 +425,17 @@ class Nic:
         mem, u64 = self._mem, self._u64
         arena, held = self._arena, self._held
         classes, succ = self._classes, self._succ
-        c = self._rr  # class 0 is RX, 1 + q is TX q
-        # passed counts the idle classes visited since the last served one.
-        # Once it reaches classes, a full idle lap has brought the cursor back
-        # to the class the lap began on; that class was idle then and nothing
-        # has changed since, so the step ends there, with the cursor on it.
+        c = self._rr
+        # passed counts the idle classes visited since the last served one. At
+        # classes, a full idle lap has brought the cursor back to the class the
+        # lap began on, idle then and unchanged since, so the step ends on it.
         done = passed = 0
         try:
             while done < max_work:
-                if c:
-                    ring = rings[c]
-                    slot = ring.head
-                    if slot != ring.tail and ring.enabled:
+                ring = rings[c]
+                if (ring.head != ring.tail if c else wire) and ring.enabled:
+                    if c:
+                        slot = ring.head
                         mi = ring.meta0 + 2 * slot  # metadata word; mi - 1 is the address
                         meta = u64[mi]
                         length = meta & META_LEN_MASK
@@ -455,15 +461,7 @@ class Nic:
                         ring.head = slot
                         if meta & META_RS and ring.wb:
                             self._u32[ring.wb >> 2] = slot
-                        done += 1
-                        passed = 0
-                    elif passed == classes:
-                        break
                     else:
-                        passed += 1
-                    c = succ[c]
-                else:
-                    if wire and rx.enabled:
                         frame = wire.popleft()
                         t = times.popleft()
                         slot = rx.head
@@ -488,13 +486,13 @@ class Nic:
                             held[baddr] = (payload, link.rx_delivered + link.rx_dropped, t)
                             rx.head = (slot + 1) & rx.mask
                             link.rx_delivered += 1
-                        done += 1
-                        passed = 0
-                    elif passed == classes:
-                        break
-                    else:
-                        passed += 1
-                    c = 1
+                    done += 1
+                    passed = 0
+                elif passed == classes:
+                    break
+                else:
+                    passed += 1
+                c = succ[c]
         finally:
             self._rr = c
         return done

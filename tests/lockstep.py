@@ -1,5 +1,16 @@
-"""The step-by-step reference loop the step-skipping drivers are checked
-against, and the stop test it shares with them."""
+"""Reference helpers: the brute-force ownership walk, the step-by-step
+reference loop the step-skipping drivers are checked against, and the stop
+test it shares with them."""
+
+
+def walk_ownership(head, tail, length):
+    """Brute-force oracle: walk from head, incrementing mod length, to tail."""
+    owned = set()
+    i = head
+    while i != tail:
+        owned.add(i)
+        i = (i + 1) % length
+    return owned
 
 
 def drained(agent, n):

@@ -19,16 +19,10 @@ from tinyring import (DEFAULT_PAGE_SIZE, SEARCH_GRANULARITY, Descriptor, Frame, 
 
 import pytest
 
+from lockstep import walk_ownership
+
 DATA = pathlib.Path(__file__).parent / "data"
 U32 = struct.Struct("<I")
-
-
-def walk_ownership(head, tail, size):
-    owned, i = set(), head
-    while i != tail:
-        owned.add(i)
-        i = (i + 1) % size
-    return owned
 
 
 def test_c01_ownership_law():

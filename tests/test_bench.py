@@ -98,6 +98,12 @@ class TestGenTraffic:
     def test_empty(self):
         assert gen_traffic(0, 64, 1) == []
 
+    @pytest.mark.parametrize("seed", [None, True, -7, 1.5, "0"])
+    def test_invalid_seed_rejected(self, seed):
+        # None would seed from the OS and -7 would act as 7: neither is deterministic
+        with pytest.raises(ValueError, match="seed"):
+            gen_traffic(3, 64, seed)
+
     @pytest.mark.parametrize("size", [12, 64, MAX_FRAME])
     def test_frames_are_plain_unstamped_frames(self, size):
         # built slot by slot, each frame must be the Frame(payload) the
@@ -869,6 +875,12 @@ class TestCli:
     def test_output_count_out_of_range(self, tmp_path, capsys, outputs):
         assert main(["--csv", str(tmp_path / "out.csv"), "--outputs", outputs]) == 1
         assert "output count must be an integer in [1, 8]" in capsys.readouterr().err
+
+    def test_negative_seed_is_invalid_argument(self, tmp_path, capsys):
+        path = tmp_path / "out.csv"
+        assert main(["--csv", str(path), "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_invalid_policer_threshold(self, tmp_path, capsys):
         path = tmp_path / "out.csv"

@@ -21,6 +21,8 @@ from tinyring import (DESC_BYTES, MAX_FRAME, META_DD, META_LEN_MASK, META_RS,
                       RegisterWriteFault, TranslationFault, ownership)
 from tinyring.nic import _check_payload
 
+from lockstep import walk_ownership
+
 U64 = struct.Struct("<Q")
 U32 = struct.Struct("<I")
 
@@ -33,16 +35,6 @@ def test_big_endian_host_refuses_import():
                          env={**os.environ, "PYTHONPATH": src})
     assert run.returncode != 0
     assert "ImportError: tinyring needs a little-endian host" in run.stderr
-
-
-def walk_ownership(head, tail, length):
-    """Brute-force oracle: walk from head, incrementing mod length, to tail."""
-    owned = set()
-    i = head
-    while i != tail:
-        owned.add(i)
-        i = (i + 1) % length
-    return owned
 
 
 class TestOwnership:
