@@ -316,13 +316,9 @@ class Agent:
                 self.recycle()
         return True
 
-    def _lagging(self) -> str:
-        """Each transmit queue whose head write-back lags processed, and why.
-
-        Only a stalled pipeline asks. A queue whose device head has reached
-        its tail retired everything, so its head write-back was lost; one
-        whose device head has not is stopped.
-        """
+    def _stalled(self, what: str) -> PipelineStalled:
+        """The PipelineStalled that finish() and forward_trace raise, worded
+        as finish()'s docstring says: "step N: what: " and the lagging queues."""
         p = self.processed & self._mask
         nic = self.nic
         lags = []
@@ -333,7 +329,8 @@ class Agent:
                          else "has not reached its tail (a stopped queue)")
                 lags.append(f"queue {q}'s head write-back reads slot {h}, not slot {p} "
                             f"(processed {self.processed}), and its device head {state}")
-        return "; ".join(lags) or "no transmit queue's head write-back lags processed"
+        report = "; ".join(lags) or "no transmit queue's head write-back lags processed"
+        return PipelineStalled(f"step {nic.now}: {what}: {report}")
 
     def _owed(self) -> int:
         """The work units a device can still spend before quiescence, with
@@ -355,16 +352,18 @@ class Agent:
     def finish(self, device_budget: int = 1) -> None:
         """Publish everything still pending and step the device until it drains.
 
-        Raises PipelineStalled if a step retires nothing first: without
-        software action no later step could retire anything either. Raises
-        it too once the device has spent more work units than draining can
-        take, counted when finish starts: one per published transmit
-        descriptor that the head write-back does not show retired, and one
-        per frame on the wire. A device that keeps retiring while no head
-        write-back reaches processed would otherwise be stepped forever.
-        The message names each queue whose head write-back lags processed
-        and says whether its device head has reached its tail (the
-        write-back was lost) or not (the queue is stopped). Raises
+        Raises PipelineStalled, "submitted packets can never drain", if a
+        step retires nothing first: without software action no later step
+        could retire anything either. Raises it too once the device has
+        spent more work units than draining can take, counted when finish
+        starts: one per published transmit descriptor that the head
+        write-back does not show retired, and one per frame on the wire. A
+        device that keeps retiring while no head write-back reaches
+        processed would otherwise be stepped forever. Every PipelineStalled
+        message, here and in forward_trace, reads "step N: <what cannot
+        happen>: " and then names each queue whose head write-back lags
+        processed and says whether its device head has reached its tail
+        (the write-back was lost) or not (the queue is stopped). Raises
         ValueError, before publishing anything, for a device_budget that is
         not an integer of at least 1.
         """
@@ -376,8 +375,7 @@ class Agent:
             worked = nic.step_device(device_budget)
             left -= worked
             if not worked or left < 0:
-                raise PipelineStalled(f"step {nic.now}: submitted packets can never drain: "
-                                      f"{self._lagging()}")
+                raise self._stalled("submitted packets can never drain")
         self.recycle()
 
     def run(self, processor: Processor, max_packets: int, device_budget: int = 1) -> int:
@@ -461,22 +459,23 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
 
     Short of quiescence, two steps in a row in which the device retires
     nothing and the poll finds nothing also leave every later step
-    unchanged, as when a stopped transmit queue holds packets back: the
-    loop then jumps to the next due frame the same way, or raises
-    PipelineStalled when no frame can enter, naming the lagging queues as
-    finish() does. When no frame is still to enter on a schedule (due is
-    None, or every frame is injected), the loop also bounds the work units
-    the device spends while processed stands still, with finish()'s
-    figure taken at the first empty poll after processed last moved: that
-    poll published everything, so until processed moves the device can
-    spend one unit per frame then on the wire and one per published
-    descriptor the head write-back does not show retired. A frame that
-    enters later under flow control finds a free receive slot, and the
-    step that receives it is followed by a poll that files it; such steps
-    are not counted. A device that spends more, by retiring while no head
-    write-back reaches processed, raises PipelineStalled with finish()'s
-    message. The count runs only on the steps after an empty poll short of
-    quiescence, so a poll that files a packet pays nothing for it.
+    unchanged, as when a stopped transmit queue holds packets back. After
+    the second such dead step the loop jumps to the next due frame the
+    same way, or, when no frame is still to enter on a schedule (due is
+    None, or every frame is injected), raises PipelineStalled: "nothing
+    can move". On every other step after an empty poll short of
+    quiescence with no frame still to enter on a schedule, the loop bounds
+    the work units the device spends while processed stands still, with
+    finish()'s figure taken at the first empty poll after processed last
+    moved: that poll published everything, so until processed moves the
+    device can spend one unit per frame then on the wire and one per
+    published descriptor the head write-back does not show retired. A
+    frame that enters later under flow control finds a free receive slot,
+    and the step that receives it is followed by a poll that files it;
+    such steps are not counted. A device that spends more, by retiring
+    while no head write-back reaches processed, raises PipelineStalled:
+    "submitted packets can never drain". Both messages are worded as
+    finish()'s. A poll that files a packet pays nothing for the count.
 
     Raises ValueError, before anything is injected or the clock moves, for
     a device_budget that is not an integer of at least 1, a deadline or
@@ -535,26 +534,22 @@ def forward_trace(agent: Agent, frames: Sequence[Frame], processor: Processor,
         if not wire and agent._rdt_unwrapped == agent.processed + reach:
             if k == n:
                 break
-        elif due is None or k == n:
-            # no frame is still to enter on a schedule: bound the work units
-            # spent while processed stands still
-            if agent.processed != mark:
-                mark = agent.processed
-                left = agent._owed()
-            else:
-                left -= worked
-                if left < 0:
-                    raise PipelineStalled(f"step {nic.now}: submitted packets can never "
-                                          f"drain: {agent._lagging()}")
-            if worked or not idle:  # not the second dead step in a row
-                idle = not worked
-                continue
-            raise PipelineStalled(f"step {nic.now}: nothing can move with {agent.processed} "
-                                  f"packets processed and {n - k} frames not injected: "
-                                  f"{agent._lagging()}")
-        elif worked or not idle:
+        elif worked or not idle:  # not the second dead step in a row
+            if due is None or k == n:
+                # no frame is still to enter on a schedule: bound the work units
+                # spent while processed stands still
+                if agent.processed != mark:
+                    mark = agent.processed
+                    left = agent._owed()
+                else:
+                    left -= worked
+                    if left < 0:
+                        raise agent._stalled("submitted packets can never drain")
             idle = not worked
             continue
+        elif due is None or k == n:
+            raise agent._stalled(f"nothing can move with {agent.processed} packets "
+                                 f"processed and {n - k} frames not injected")
         # nothing can move until a frame enters; a flow-controlled one enters next step
         if due is not None:
             nic.now = nxt if deadline is None or nxt < deadline else deadline

@@ -4,11 +4,14 @@ Loads are packets per 1000 simulated steps; the simulator has no physical
 clock, so nothing here is a bit rate. The device retires at most
 device_budget descriptor completions per step and a forwarded packet costs
 1 + num_outputs completions (one receive, one per transmit ring, skips
-included), so the sustainable rate is
+included), so the device's bound is
 
     service_rate = 1000 * device_budget // (1 + num_outputs)
 
-packets per 1000 steps.
+packets per 1000 steps. forward_trace polls once per step, so the agent
+files at most one packet per step, and the pipeline's bound is
+min(service_rate, 1000): at budget 3 with one output, service_rate is 1500
+while the search finds 1024.
 
 A load point injects its trace on an even schedule (remainders spread
 Bresenham-style), runs the pipeline until the schedule ends plus a short
@@ -21,8 +24,10 @@ is 2). One deterministic trial per load point; all points share one trace.
 The knee search rejects a grid load at step 0 when the frames output 0
 could emit before the deadline cannot bring its loss under the bound. No
 measured frame enters the wire before the due step of the first one, so
-the bound counts only the device steps from then on. The check needs only
-the trace length, so a rejected load costs no set-up: no schedule and no
+the bound counts only the steps from then on, at most
+min(device_budget, 2) / 2 frames a step: each costs the device a receive
+and a transmit unit, and the agent one poll. The check needs only the
+trace length, so a rejected load costs no set-up: no schedule and no
 pipeline. Every other load the search tries is one run_load_point call.
 """
 
@@ -53,7 +58,9 @@ CSV_HEADER = "offered_load,delivered,lost,loss_fraction,latency_p50,latency_p99"
 
 
 def service_rate(device_budget: int = DEVICE_BUDGET, num_outputs: int = 1) -> int:
-    """Sustainable packets per 1000 steps for a given budget and output count.
+    """The device's bound in packets per 1000 steps for a given budget and
+    output count. The pipeline's bound is min(service_rate, 1000), since the
+    agent files at most one packet per step.
 
     Raises ValueError unless device_budget is an integer of at least 1 and
     num_outputs an integer in [1, MAX_QUEUES].
@@ -145,19 +152,17 @@ def parse_pcap(data: bytes) -> list[Frame]:
     record = struct.Struct(order + _PCAP_RECORD)
     frames: list[Frame] = []
     offset = _PCAP_GLOBAL_BYTES
-    index = 0
     while offset < len(data):
         if len(data) - offset < record.size:
-            raise PcapFormatError(f"record {index}: truncated header")
+            raise PcapFormatError(f"record {len(frames)}: truncated header")
         incl_len = record.unpack_from(data, offset)[2]
         offset += record.size
         if incl_len == 0:
-            raise PcapFormatError(f"record {index}: empty capture record")
+            raise PcapFormatError(f"record {len(frames)}: empty capture record")
         if len(data) - offset < incl_len:
-            raise PcapFormatError(f"record {index}: payload truncated")
+            raise PcapFormatError(f"record {len(frames)}: payload truncated")
         frames.append(Frame(bytes(data[offset:offset + min(incl_len, MAX_FRAME)])))
         offset += incl_len
-        index += 1
     return frames
 
 
@@ -209,15 +214,16 @@ def _rejected_at_step_0(offered_load: int, n: int, device_budget: int,
     """Whether an n-frame load point's loss is bound to reach loss_bound.
 
     Each measured frame output 0 emits spends a receive unit and a
-    transmit unit, and none is on the wire before first, the due step of
-    the first measured frame, so at most (deadline - first) *
-    device_budget // 2 of them arrive before the deadline. The load is
-    rejected when the loss even that leaves is at least loss_bound.
+    transmit unit, and needs its own poll to file it, at most one per step;
+    none is on the wire before first, the due step of the first measured
+    frame, so at most (deadline - first) * min(device_budget, 2) // 2 of
+    them arrive before the deadline. The load is rejected when the loss
+    even that leaves is at least loss_bound.
     """
     deadline, warm = _deadline_and_warm(offered_load, n)
     measured = n - warm
     first = warm * 1000 // offered_load
-    return (measured - (deadline - first) * device_budget // 2) / measured >= loss_bound
+    return (measured - (deadline - first) * min(device_budget, 2) // 2) / measured >= loss_bound
 
 
 def _search_max_throughput(trace: Sequence[Frame], nf: Processor | str,

@@ -43,6 +43,14 @@ class TestServiceRate:
         assert service_rate(2, 1) == 1000
         assert service_rate(1, 3) == 250
 
+    def test_the_agent_bounds_the_pipeline_below_the_device(self):
+        # forward_trace polls once per step, so the pipeline's bound is
+        # min(service_rate, 1000): a load under the device's 1500 loses 15%
+        assert service_rate(3, 1) == 1500
+        row = run_load_point(1200, gen_traffic(2000, 64, 0), "identity", 256, 1,
+                             device_budget=3)
+        assert (row.lost, row.delivered + row.lost) == (274, 1800)
+
     @pytest.mark.parametrize("budget, outputs, what", [
         (0, 1, "device budget"), (True, 1, "device budget"), (1.0, 1, "device budget"),
         (1, 0, "output count"), (1, -1, "output count"), (1, 9, "output count"),
@@ -404,6 +412,10 @@ frame_lists = st.one_of(
          frames=gen_traffic(200, 64, 0))
 @example(load=1700, ring=16, outputs=3, budget=2, nf="macswap",
          frames=gen_traffic(200, 300, 4))
+# rejected at step 0 only because the agent files one frame a step: 1784
+# of 1800 measured frames arrive in full, against 2700 the device allows
+@example(load=1040, ring=256, outputs=1, budget=3, nf="identity",
+         frames=gen_traffic(2000, 64, 0))
 def test_early_stop_is_sound(load, ring, outputs, budget, nf, frames):
     # The search rejects a load at step 0 only when its full run_load_point
     # row fails the bound. A bound just above the full row's loss is the
@@ -440,6 +452,19 @@ def test_every_full_probe_goes_through_the_public_name(monkeypatch):
     loads.clear()
     find_max_throughput("identity", 256, 1)
     assert loads == [496]  # 752, 624, 560, 528 and 512 are rejected at step 0
+
+
+def test_budget_3_search_runs_only_loads_the_agent_can_file(monkeypatch):
+    # at budget 3 with one output the device could emit 1.5 frames a step,
+    # but the agent files one, so the step-0 check counts one a step
+    loads = []
+
+    def recorder(load, *args, _run=bench.run_load_point, **kw):
+        loads.append(load)
+        return _run(load, *args, **kw)
+    monkeypatch.setattr(bench, "run_load_point", recorder)
+    assert find_max_throughput("identity", 256, 1, device_budget=3).offered_load == 1024
+    assert loads == [752, 928, 1024]  # 1504, 1120, 1072 and 1040 are rejected at step 0
 
 
 def reference_search(frames, nf, ring, outputs, budget):

@@ -69,9 +69,11 @@ def mutant_tree(tmp_path, module, old, new):
 
 @pytest.mark.parametrize("module, old, new, caught_by", [
     # one step late on every emitted frame: perfbench's forwarding check
-    # reads payloads and order only, so the cross-tree comparison catches it
+    # reads payloads and order only, so the cross-tree comparison catches
+    # it, at the first frame, with both (payload, inject, drain, order)
     ("nic.py", "frame.drain_time = now", "frame.drain_time = now + 1",
-     "outputs differ between trees"),
+     r"outputs differ between trees: change output 0 index 0 is \(b.*, 0, 10, 0\), "
+     r"parent's is \(b.*, 0, 9, 0\)$"),
     # identity flips one byte: perfbench's oracle runs the tree's own
     # identity, so it agrees, and the cross-tree comparison catches it
     ("netfuncs.py", "        return [length] * num_outputs\n\n    return proc\n\n\ndef macswap",

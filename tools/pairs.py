@@ -27,11 +27,12 @@ part, and then collects its outputs and checks them with the workload's
 own ``check``. Both times come from ``time.perf_counter``. The run stops
 when a check fails, or when a copy's outputs differ from the parent's in
 any field of any emitted frame (payload, inject time, drain time, order)
-or in any sweep row. The result for each workload is the median over
-rounds of the per-round time ratio, change/parent and A/A (second parent
-copy/parent), each with a bootstrap 95% confidence interval over rounds,
-for the timed part and for the set-up alike. A ratio below 1 means the
-change is faster.
+or in any sweep row; its message names the arm, the output and the index
+of the first frame or row that differs, with both values. The result for
+each workload is the median over rounds of the per-round time ratio,
+change/parent and A/A (second parent copy/parent), each with a bootstrap
+95% confidence interval over rounds, for the timed part and for the
+set-up alike. A ratio below 1 means the change is faster.
 
 Only the standard library is used. Times are host seconds, which drift
 between runs on a shared host; only a ratio taken within one process
@@ -44,6 +45,7 @@ import argparse
 import dataclasses
 import gc
 import importlib.util
+import itertools
 import json
 import os
 import random
@@ -135,6 +137,17 @@ def run_pass(workload, seed: int) -> tuple[float, float, list]:
                             for out in outputs]
 
 
+def first_difference(parent: list, other: list) -> tuple | None:
+    """The first (output, index of the frame or sweep row, parent's value,
+    other's value) at which two fingerprints part, a value missing from
+    one of them read as None; None when they agree."""
+    for q, (want, got) in enumerate(itertools.zip_longest(parent, other, fillvalue=[])):
+        for j, (x, y) in enumerate(itertools.zip_longest(want, got)):
+            if x != y:
+                return q, j, x, y
+    return None
+
+
 def median_ci(ratios: list[float], rng: random.Random) -> tuple[float, float, float]:
     """The median ratio and a bootstrap 95% interval of it."""
     boots = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
@@ -157,8 +170,12 @@ def measure(mods: dict, name: str, pairs: int, seed: int, rng: random.Random) ->
             setup, elapsed, outcomes[arm] = run_pass(workloads[arm], seed)
             setups[arm].append(setup)
             times[arm].append(elapsed)
-        if any(outcomes[arm] != outcomes["parent"] for arm in mods):
-            raise Mismatch(f"{name} round {i}: outputs differ between trees")
+        for arm in mods:
+            diff = first_difference(outcomes["parent"], outcomes[arm])
+            if diff:
+                q, j, want, got = diff
+                raise Mismatch(f"{name} round {i}: outputs differ between trees: {arm} "
+                               f"output {q} index {j} is {got!r}, parent's is {want!r}")
     result = {"workload": name, "pairs": pairs, "seed": seed,
               "parent_median_s": statistics.median(times["parent"]),
               "parent_setup_median_s": statistics.median(setups["parent"])}
