@@ -242,13 +242,12 @@ class Nic:
         # one ring per service class: class 0 is the receive ring, 1 + q transmit ring q
         self._rings = (_Ring("receive ring"),
                        *(_Ring(f"transmit ring {q}") for q in range(num_tx_queues)))
-        self._txs = self._rings[1:]
         # (register name, queue) -> (ring, field): the whole register file
         self._regs: dict[tuple[str, int], tuple[_Ring, str]] = {
             (reg, 0): (self._rings[0], field) for reg, field in (
                 ("RDBA", "base"), ("RDLEN", "length"), ("RDH", "head"),
                 ("RDT", "tail"), ("RXEN", "enabled"))}
-        for q, ring in enumerate(self._txs):
+        for q, ring in enumerate(self._rings[1:]):
             for reg, field in (("TDBA", "base"), ("TDLEN", "length"), ("TDH", "head"),
                                ("TDT", "tail"), ("TXEN", "enabled"), ("TDWBA", "wb")):
                 self._regs[reg, q] = (ring, field)
@@ -361,13 +360,10 @@ class Nic:
         the number of work units spent; dropping an undeliverable frame
         costs one unit like a completion does.
 
-        A step in which the wire is empty and no transmit ring has
-        head != tail is idle: after that one check it returns 0, with the
-        clock advanced, the cursor where it was and no memory touched, which
-        is what a lap over idle classes would leave. A disabled ring with
-        work finds nothing to serve in the lap, whether it is a transmit
-        ring with head != tail or a receive ring with frames on the wire,
-        so the lap leaves the same.
+        An idle step is a lap over idle classes: it serves nothing and
+        returns 0, with the clock advanced, the cursor where it began and no
+        memory touched. A disabled ring with work (a transmit ring with
+        head != tail, or a receive ring with frames on the wire) is idle.
 
         A transmit completion emits a Frame carrying the order and inject
         time from its buffer's record, which the last receive into that
@@ -408,19 +404,11 @@ class Nic:
         """
         rings = self._rings
         rx = rings[0]
-        if not rx.enabled and not any(ring.enabled for ring in self._txs):
+        if not rx.enabled and not any(ring.enabled for ring in rings[1:]):
             raise NotReadyError("device is not enabled")
         now = self.now = self.now + 1
         link = self.link
         wire = link.rx_pending
-        if not wire:
-            # the idle step: no class has work, so a lap would serve nothing
-            # and end on the class it began on, having touched no memory
-            for ring in self._txs:
-                if ring.head != ring.tail:
-                    break
-            else:
-                return 0
         times, emitted = link.rx_times, link.tx_emitted
         mem, u64 = self._mem, self._u64
         arena, held = self._arena, self._held

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .agent import Processor
+from .agent import Processor, _reject_output_lengths
 from .mem import _check_int
 from .nic import MAX_FRAME, Frame, _check_payload
 
@@ -32,7 +32,10 @@ class RefPipeline:
         the next one is copied in, so one buffer serves every frame and
         order is preserved end to end. A payload the device would reject
         at injection (not bytes, or not 1..MAX_FRAME bytes long) raises the
-        same ValueError before it is copied in.
+        same ValueError before it is copied in. Processor results that
+        Agent.poll rejects (a length count other than num_outputs, or a
+        length that is not an integer in [0, MAX_FRAME]) raise its
+        ValueError before anything is appended for the frame.
         """
         buf = self._buf
         outs: list[list[bytes]] = [[] for _ in range(self.num_outputs)]
@@ -42,6 +45,9 @@ class RefPipeline:
             n = len(payload)
             buf[:n] = payload
             lengths = self.processor(memoryview(buf), n, self.num_outputs)
+            if len(lengths) != self.num_outputs:
+                raise ValueError(f"need {self.num_outputs} lengths, got {len(lengths)}")
+            _reject_output_lengths(lengths)
             for q, ln in enumerate(lengths):
                 if ln > 0:
                     outs[q].append(bytes(buf[:ln]))

@@ -329,6 +329,33 @@ class TestRingProtocol:
             agent.transmit([64] * len(lengths))
             assert agent.processed == 1
 
+    @settings(deadline=None)
+    @given(lengths=output_lengths_at_the_rule_edges(), outputs=st.integers(1, 4))
+    def test_the_oracle_rejects_what_poll_rejects(self, lengths, outputs):
+        # RefPipeline applies poll's rule to the processor's result, the
+        # length count first, and raises poll's message; a result both
+        # accept forwards the same bytes on every output
+        def proc(buf, length, num_outputs):
+            return lengths
+
+        payload = b"o" * 64
+        _, nic, agent = make(num_outputs=outputs, flush_period=1)
+        nic.inject_rx(Frame(payload))
+        nic.step_device(1)
+        want = got = None
+        try:
+            agent.poll(proc)
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            out = RefPipeline(outputs, proc).process_trace([Frame(payload)])
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+        if want is None:
+            agent.finish()
+            assert out == [[f.payload for f in nic.drain_tx(q)] for q in range(outputs)]
+
     @pytest.mark.parametrize("call", ["poll", "receive"])
     def test_received_length_above_max_frame_blames_the_descriptor(self, call, monkeypatch):
         # a corrupt receive metadata word: done, with a length above MAX_FRAME;

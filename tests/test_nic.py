@@ -691,6 +691,20 @@ class TestStepping:
         assert (nic.link.rx_delivered, nic.link.rx_dropped) == (0, 0)
         assert nic.reg_read("RDH") == 0
 
+    def test_idle_step_on_an_enabled_device(self):
+        # every ring enabled, the wire empty and every head at its tail: the
+        # lap serves nothing, moves the clock and leaves the cursor on queue 1
+        env, nic = cursor_on_queue_1()
+        assert all(nic.reg_read("TDH", q) == nic.reg_read("TDT", q) for q in (0, 1))
+        assert not nic.link.rx_pending
+        arena, now = bytes(env.dma), nic.now
+        assert nic.step_device(4) == 0
+        assert nic.now == now + 1
+        assert bytes(env.dma) == arena
+        nic.reg_write("TDT", 3, 0)
+        nic.reg_write("TDT", 2, 1)
+        assert service_order(nic, 4) == [1, 0, 1, 0]
+
     def test_idle_step_with_an_owned_but_disabled_queue(self):
         # queue 0 owns two descriptors but is stopped and the wire is empty:
         # the step serves nothing, moves the clock and leaves the cursor on

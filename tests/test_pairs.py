@@ -3,7 +3,9 @@ package, and a change tree whose outputs are wrong stops the run."""
 
 import importlib.util
 import os
+import platform
 import random
+import re
 import shutil
 import sys
 
@@ -49,6 +51,17 @@ def test_a_a_run_passes_and_marks_its_intervals(pairs, tmp_path):
     r = pairs.measure(copies(pairs, tmp_path), "burst_64b", 2, 0, random.Random(0))
     assert (r["workload"], r["pairs"]) == ("burst_64b", 2)
     assert r["parent_median_s"] > 0 and r["parent_setup_median_s"] > 0
+    # the record: host, each arm's source hash and raw seconds per round
+    assert (r["python"], r["implementation"]) == (platform.python_version(),
+                                                  platform.python_implementation())
+    assert r["platform"] == platform.platform() and r["nproc"] == os.cpu_count()
+    assert sorted(r["src_sha256"]) == sorted(r["raw"]) == ["aa", "change", "parent"]
+    assert r["src_sha256"]["parent"] == r["src_sha256"]["aa"]
+    assert re.fullmatch("[0-9a-f]{16}", r["src_sha256"]["parent"])
+    for raw in r["raw"].values():
+        assert sorted(raw) == ["setup_s", "timed_s"]
+        assert len(raw["setup_s"]) == len(raw["timed_s"]) == 2
+        assert all(t > 0 for t in raw["setup_s"] + raw["timed_s"])
     for prefix in ("", "setup_"):
         lo, hi = r[prefix + "aa_over_parent"]["ci95"]
         assert r[prefix + "aa_holds"] is (lo <= 1.0 <= hi)

@@ -32,7 +32,12 @@ of the first frame or row that differs, with both values. The result for
 each workload is the median over rounds of the per-round time ratio,
 change/parent and A/A (second parent copy/parent), each with a bootstrap
 95% confidence interval over rounds, for the timed part and for the
-set-up alike. A ratio below 1 means the change is faster.
+set-up alike. A ratio below 1 means the change is faster. Each result
+also records the host (Python version and implementation, platform, CPU
+count), each arm's ``src_sha256`` (sha256 over ``src/tinyring/*.py`` in
+name order, each file's repo-relative path, a NUL byte and its bytes;
+first 16 hex digits) and each arm's raw set-up and timed seconds per
+round, in round order.
 
 Only the standard library is used. Times are host seconds, which drift
 between runs on a shared host; only a ratio taken within one process
@@ -47,7 +52,9 @@ import gc
 import importlib.util
 import itertools
 import json
+import hashlib
 import os
+import platform
 import random
 import shutil
 import statistics
@@ -82,10 +89,19 @@ def load(name: str, path: str):
     return mod
 
 
+def src_sha256(pkg: str) -> str:
+    """The package's source hash by the method the module docstring gives."""
+    h = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
+        with open(os.path.join(pkg, name), "rb") as fh:
+            h.update(f"src/tinyring/{name}".encode() + b"\0" + fh.read())
+    return h.hexdigest()[:16]
+
+
 def load_copies(trees: dict[str, str], tmp: str) -> dict:
     """Copy each tree's src/tinyring into tmp as tr_<arm> and import it, then
     load perfbench's workloads against it as workloads_<arm>; returns the
-    workloads modules by arm.
+    workloads modules by arm, each with the tree's src_sha256 bound.
 
     workloads.py binds ``tinyring`` at import, so that name points at the
     arm's copy only while the module runs, and its previous binding (or its
@@ -112,6 +128,7 @@ def load_copies(trees: dict[str, str], tmp: str) -> dict:
             else:
                 sys.modules["tinyring"] = bound
         wl.OUT_DIR = tmp  # the sweep's CSV and the directory it makes, out of perfbench/
+        wl.src_sha256 = src_sha256(pkg)
         mods[arm] = wl
     return mods
 
@@ -177,6 +194,11 @@ def measure(mods: dict, name: str, pairs: int, seed: int, rng: random.Random) ->
                 raise Mismatch(f"{name} round {i}: outputs differ between trees: {arm} "
                                f"output {q} index {j} is {got!r}, parent's is {want!r}")
     result = {"workload": name, "pairs": pairs, "seed": seed,
+              "python": platform.python_version(),
+              "implementation": platform.python_implementation(),
+              "platform": platform.platform(), "nproc": os.cpu_count(),
+              "src_sha256": {arm: wl.src_sha256 for arm, wl in mods.items()},
+              "raw": {arm: {"setup_s": setups[arm], "timed_s": times[arm]} for arm in mods},
               "parent_median_s": statistics.median(times["parent"]),
               "parent_setup_median_s": statistics.median(setups["parent"])}
     for prefix, samples in (("", times), ("setup_", setups)):
