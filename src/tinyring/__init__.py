@@ -14,8 +14,8 @@ from .netfuncs import identity, macswap, make_processor, policer
 from .bench import (CSV_HEADER, DEVICE_BUDGET, DRAIN_ALLOWANCE,
                     SEARCH_GRANULARITY, LoadPointResult,
                     NoSustainableLoad, PcapFormatError, find_max_throughput,
-                    gen_traffic, parse_pcap, percentile, run_load_point,
-                    run_sweep, service_rate, write_csv)
+                    gen_traffic, parse_pcap, run_load_point, run_sweep,
+                    service_rate, write_csv)
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "RegisterWriteFault", "SEARCH_GRANULARITY", "TranslationFault",
     "build_pipeline", "decode_descriptor", "encode_descriptor",
     "find_max_throughput", "forward_trace", "gen_traffic", "identity",
-    "macswap", "make_processor", "ownership", "parse_pcap", "percentile",
-    "policer", "ref_init", "run_load_point", "run_sweep", "service_rate",
-    "write_csv",
+    "macswap", "make_processor", "ownership", "parse_pcap", "policer",
+    "ref_init", "run_load_point", "run_sweep", "service_rate", "write_csv",
 ]

@@ -19,8 +19,11 @@ drain allowance, and counts a measured frame as lost if it was not emitted
 on output 0 by then; frames the device dropped for lack of receive
 descriptors are lost the same way. The first 10% of the trace warms the
 pipeline up and is excluded from all statistics. Latency is drain step
-minus inject step; percentiles are nearest-rank (the 50th of [1, 2, 3, 4]
-is 2). One deterministic trial per load point; all points share one trace.
+minus inject step. run_load_point sorts the latencies once and reads p50
+and p99 off that list by nearest rank: the pct-th percentile of n values
+is the ceil(pct * n / 100)-th smallest, so the 50th of [1, 2, 3, 4] is 2,
+and both are 0 when nothing was delivered. One deterministic trial per
+load point; all points share one trace.
 The knee search rejects a grid load at step 0 when the frames output 0
 could emit before the deadline cannot bring its loss under the bound. No
 measured frame enters the wire before the due step of the first one, so
@@ -33,11 +36,9 @@ pipeline. Every other load the search tries is one run_load_point call.
 
 from __future__ import annotations
 
-import math
 import random
 import struct
 from dataclasses import dataclass
-from numbers import Real
 from typing import IO, Iterable, Sequence
 
 from .agent import Processor, _check_geometry, build_pipeline, forward_trace
@@ -57,7 +58,7 @@ WARMUP_FRACTION = 10        # the first tenth of the trace is not measured
 CSV_HEADER = "offered_load,delivered,lost,loss_fraction,latency_p50,latency_p99"
 
 
-def service_rate(device_budget: int = DEVICE_BUDGET, num_outputs: int = 1) -> int:
+def service_rate(device_budget: int, num_outputs: int) -> int:
     """The device's bound in packets per 1000 steps for a given budget and
     output count. The pipeline's bound is min(service_rate, 1000), since the
     agent files at most one packet per step.
@@ -78,20 +79,6 @@ class LoadPointResult:
     loss_fraction: float
     latency_p50: int
     latency_p99: int
-
-
-def percentile(values: Sequence[int], pct: float) -> int:
-    """Nearest-rank percentile; 0 for an empty sample.
-
-    Raises ValueError unless pct is a real number in [0, 100], not a bool.
-    """
-    if isinstance(pct, bool) or not isinstance(pct, Real) or not 0 <= pct <= 100:
-        raise ValueError(f"percentile must be a real number in [0, 100], got {pct!r}")
-    if not values:
-        return 0
-    ordered = sorted(values)
-    rank = math.ceil(pct / 100 * len(ordered))
-    return ordered[max(rank, 1) - 1]
 
 
 def gen_traffic(count: int, size: int, seed: int) -> list[Frame]:
@@ -168,6 +155,13 @@ def parse_pcap(data: bytes) -> list[Frame]:
 
 # -- measurement --------------------------------------------------------------
 
+def _nearest_rank(ordered: Sequence[int], pct: int) -> int:
+    """The pct-th percentile of an ascending list by nearest rank, for pct
+    in (0, 100]: its ceil(pct * n / 100)-th smallest of n values, or 0 if
+    it is empty."""
+    return ordered[-(-pct * len(ordered) // 100) - 1] if ordered else 0
+
+
 def _deadline_and_warm(offered_load: int, n: int) -> tuple[int, int]:
     """The step an n-frame load point stops at, and its warm-up frame count."""
     # the last frame's due step + 1 + the drain allowance
@@ -195,14 +189,13 @@ def run_load_point(offered_load: int, frames: Sequence[Frame], nf: Processor | s
     due = [k * 1000 // offered_load for k in range(n)]
     _env, nic, agent = build_pipeline(ring_size, num_outputs)
     forward_trace(agent, frames, processor, device_budget, due=due, deadline=deadline)
-    # sorted once, so both percentile calls sort sorted input
     latencies = [f.drain_time - f.inject_time for f in nic.drain_tx(0) if f.order >= warm]
     latencies.sort()
     delivered = len(latencies)
     measured = n - warm
     lost = measured - delivered
     return LoadPointResult(offered_load, delivered, lost, lost / measured,
-                           percentile(latencies, 50), percentile(latencies, 99))
+                           _nearest_rank(latencies, 50), _nearest_rank(latencies, 99))
 
 
 class NoSustainableLoad(ValueError):
@@ -227,8 +220,7 @@ def _rejected_at_step_0(offered_load: int, n: int, device_budget: int,
 
 
 def _search_max_throughput(trace: Sequence[Frame], nf: Processor | str,
-                           ring_size: int, num_outputs: int, loss_bound: float,
-                           device_budget: int,
+                           ring_size: int, num_outputs: int, device_budget: int,
                            ) -> tuple[LoadPointResult, dict[int, LoadPointResult]]:
     """The knee's result, plus every load on the way that ran in full.
 
@@ -245,16 +237,16 @@ def _search_max_throughput(trace: Sequence[Frame], nf: Processor | str,
     while lo < hi:
         mid = (lo + hi + 1) // 2
         load = mid * SEARCH_GRANULARITY
-        if not (trace and _rejected_at_step_0(load, len(trace), device_budget, loss_bound)):
+        if not (trace and _rejected_at_step_0(load, len(trace), device_budget, LOSS_BOUND)):
             res = measured[load] = run_load_point(load, trace, nf, ring_size, num_outputs,
                                                   device_budget=device_budget)
-            if res.loss_fraction < loss_bound:
+            if res.loss_fraction < LOSS_BOUND:
                 lo = mid
                 continue
         hi = mid - 1
     if lo == 0:
         raise NoSustainableLoad(f"no load on the {SEARCH_GRANULARITY}-wide grid up to "
-                                f"{ceiling} keeps loss under {loss_bound}")
+                                f"{ceiling} keeps loss under {LOSS_BOUND}")
     return measured[lo * SEARCH_GRANULARITY], measured
 
 
@@ -279,8 +271,7 @@ def find_max_throughput(nf: Processor | str, ring_size: int, num_outputs: int, *
     NoSustainableLoad when even the lowest grid load loses too much.
     """
     trace = gen_traffic(trace_length, packet_size, seed) if frames is None else frames
-    return _search_max_throughput(trace, nf, ring_size, num_outputs, LOSS_BOUND,
-                                  device_budget)[0]
+    return _search_max_throughput(trace, nf, ring_size, num_outputs, device_budget)[0]
 
 
 def run_sweep(nf: Processor | str, ring_size: int, num_outputs: int, step: int, *,
@@ -298,7 +289,7 @@ def run_sweep(nf: Processor | str, ring_size: int, num_outputs: int, step: int, 
     _check_int(step, "sweep step", 1)
     trace = gen_traffic(trace_length, packet_size, seed) if frames is None else frames
     best, measured = _search_max_throughput(trace, nf, ring_size, num_outputs,
-                                            LOSS_BOUND, device_budget)
+                                            device_budget)
     loads = list(range(step, best.offered_load + 1, step))
     if not loads or loads[-1] != best.offered_load:
         loads.append(best.offered_load)

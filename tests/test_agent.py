@@ -829,9 +829,13 @@ def test_forward_trace_bounds_a_device_that_never_drains(count, due, published, 
     assert nic.now == published + owed + 1
 
 
-def assert_frames_accounted(link):
-    assert link.injected == link.rx_delivered + link.rx_dropped + len(link.rx_pending)
-    assert len(link.rx_times) == len(link.rx_pending)  # each frame on the wire has its inject time
+def assert_frames_accounted(link, frames):
+    # the wire holds the frames after the delivered and dropped ones, the
+    # same objects in injection order, each with its inject time
+    d = link.rx_delivered + link.rx_dropped
+    expected = frames[d:d + len(link.rx_pending)]
+    assert len(expected) == len(link.rx_pending) == len(link.rx_times)
+    assert all(a is b for a, b in zip(link.rx_pending, expected))
 
 
 class TestFaultInjection:
@@ -847,27 +851,30 @@ class TestFaultInjection:
 
     def test_lost_writeback_flow_controlled(self):
         nic, agent = self.lost_writeback()
+        frames = gen_traffic(32, 64, 1)
         with pytest.raises(PipelineStalled, match=f"step 24: .*{QUEUE_1_LOST}"):
-            forward_trace(agent, gen_traffic(32, 64, 1), identity())
-        assert agent.processed == 7
-        assert_frames_accounted(nic.link)
+            forward_trace(agent, frames, identity())
+        assert (agent.processed, nic.link.injected) == (7, 7)
+        assert_frames_accounted(nic.link, frames)
 
     def test_lost_writeback_timed(self):
         nic, agent = self.lost_writeback()
+        frames = gen_traffic(40, 64, 1)
         with pytest.raises(PipelineStalled, match=f"step 393: .*{QUEUE_1_LOST}"):
-            forward_trace(agent, gen_traffic(40, 64, 1), identity(),
+            forward_trace(agent, frames, identity(),
                           due=[10 * k for k in range(40)], deadline=400)
-        assert agent.processed == 7
-        assert_frames_accounted(nic.link)
+        assert (agent.processed, nic.link.injected) == (7, 40)
+        assert_frames_accounted(nic.link, frames)
 
     def test_lost_writeback_run(self):
         nic, agent = self.lost_writeback()
-        for f in gen_traffic(3, 64, 1):
+        frames = gen_traffic(3, 64, 1)
+        for f in frames:
             nic.inject_rx(f)
         with pytest.raises(PipelineStalled, match=f"step 10: .*{QUEUE_1_LOST}"):
             agent.run(identity(), max_packets=3)
-        assert agent.processed == 3
-        assert_frames_accounted(nic.link)
+        assert (agent.processed, nic.link.injected) == (3, 3)
+        assert_frames_accounted(nic.link, frames)
 
     @pytest.mark.parametrize("timed", [False, True], ids=["flow", "timed"])
     def test_receive_buffer_past_arena(self, timed):
@@ -879,9 +886,8 @@ class TestFaultInjection:
         with pytest.raises(TranslationFault, match="receive slot 3"):
             forward_trace(agent, frames, identity(), due=due, deadline=100 if timed else None)
         link = nic.link
-        assert link.rx_delivered == 3
-        assert link.rx_pending[0] is frames[3]
-        assert_frames_accounted(link)
+        assert (link.rx_delivered, link.injected) == (3, 4)
+        assert_frames_accounted(link, frames)  # frames[3] is back at the wire's head
 
 
 # Distinct payload objects emitted when flow-controlled identity forwards

@@ -3,9 +3,12 @@
 import dataclasses
 import io
 import math
+import os
 import pathlib
 import random
 import struct
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +18,8 @@ from tinyring import (CSV_HEADER, DRAIN_ALLOWANCE, MAX_FRAME, SEARCH_GRANULARITY
                       Agent, Frame, LoadPointResult, MemEnv, Nic,
                       NoSustainableLoad, PcapFormatError, build_pipeline,
                       find_max_throughput, forward_trace, gen_traffic, identity,
-                      make_processor, parse_pcap, percentile, run_load_point,
-                      run_sweep, service_rate, write_csv)
+                      make_processor, parse_pcap, run_load_point, run_sweep,
+                      service_rate, write_csv)
 from tinyring import bench
 from tinyring.bench import (DEFAULT_PACKET_SIZE, DEFAULT_TRACE_LENGTH, LOSS_BOUND,
                             MAX_LOAD_PER_BUDGET)
@@ -62,29 +65,21 @@ class TestServiceRate:
 
 
 class TestPercentile:
+    # run_load_point ranks the latency list it has sorted, so every case is ascending
     def test_median_of_four_is_second(self):
-        assert percentile([1, 2, 3, 4], 50) == 2
+        assert bench._nearest_rank([1, 2, 3, 4], 50) == 2
 
     def test_tail(self):
-        assert percentile([1, 2, 3, 4], 99) == 4
-        assert percentile([1, 2, 3, 4], 100) == 4
+        assert bench._nearest_rank([1, 2, 3, 4], 99) == 4
+        assert bench._nearest_rank([1, 2, 3, 4], 100) == 4
 
     def test_low_rank_clamps_to_first(self):
-        assert percentile([5, 7], 1) == 5
-
-    def test_unsorted_input(self):
-        assert percentile([9, 1, 5], 50) == 5
+        assert bench._nearest_rank([5, 7], 1) == 5
 
     def test_empty_and_singleton(self):
-        assert percentile([], 50) == 0
-        assert percentile([42], 50) == 42
-        assert percentile([42], 99) == 42
-
-    @pytest.mark.parametrize("pct", [150, -1, 100.5, math.nan, math.inf, True, "50", None])
-    def test_invalid_pct_rejected(self, pct):
-        for values in ([1, 2, 3], []):
-            with pytest.raises(ValueError, match="percentile"):
-                percentile(values, pct)
+        assert bench._nearest_rank([], 50) == 0
+        assert bench._nearest_rank([42], 50) == 42
+        assert bench._nearest_rank([42], 99) == 42
 
 
 class TestGenTraffic:
@@ -341,10 +336,14 @@ def naive_load_point(load, nf, ring_size, num_outputs, frames, device_budget):
     emitted = nic.drain_tx(0)
     warm = n // 10
     got = [f for f in emitted if f.order >= warm]
-    latencies = [f.drain_time - f.inject_time for f in got]
+    latencies = sorted(f.drain_time - f.inject_time for f in got)
     lost = n - warm - len(got)
-    result = LoadPointResult(load, len(got), lost, lost / (n - warm),
-                             percentile(latencies, 50), percentile(latencies, 99))
+    # nearest rank by hand: the 50th percentile of m values is the
+    # ceil(m / 2)-th smallest and the 99th the ceil(99 m / 100)-th
+    m = len(latencies)
+    p50 = latencies[(m + 1) // 2 - 1] if m else 0
+    p99 = latencies[(99 * m + 99) // 100 - 1] if m else 0
+    result = LoadPointResult(load, m, lost, lost / (n - warm), p50, p99)
     return result, emitted
 
 
@@ -520,6 +519,19 @@ def test_search_matches_reference_on_docstring_case():
     assert best == reference_search(frames, "identity", 8, 2, 2)
 
 
+@pytest.mark.xfail(strict=True, reason="the bisection can pass a load above failing "
+                                       "lower grid loads (ROADMAP item 4)")
+def test_no_failing_grid_load_below_the_knee():
+    # loss is not monotone here: 688 and 736 fail, 704, 720 and 752 lose
+    # nothing, and the bisection returns 752, above service_rate(3, 3)
+    best = find_max_throughput("identity", 8, 3, device_budget=3)
+    frames = gen_traffic(DEFAULT_TRACE_LENGTH, DEFAULT_PACKET_SIZE, 0)
+    failing = [run_load_point(load, frames, "identity", 8, 3, device_budget=3)
+               for load in (688, 736)]
+    assert [(r.lost, r.delivered + r.lost) for r in failing] == [(13, 1800), (257, 1800)]
+    assert all(r.offered_load >= best.offered_load for r in failing)
+
+
 class TestFindMax:
     @pytest.mark.parametrize("budget", [0, -1, 1.5, True])
     def test_invalid_budget_rejected(self, budget):
@@ -542,9 +554,12 @@ class TestFindMax:
             run_sweep("policer", 256, 1, 100, trace_length=200)
 
     def test_unbounded_loss_reaches_grid_top(self):
-        lp, _ = bench._search_max_throughput(gen_traffic(400, 64, 0), "identity", 256, 1,
-                                             1.0, 1)
-        assert lp.offered_load == (1000 // SEARCH_GRANULARITY) * SEARCH_GRANULARITY
+        # ten frames lose nothing even at the ceiling, since the drain
+        # allowance serves them all, so the search climbs to the grid's top
+        for budget, top in (1, 992), (2, 2000):
+            lp = find_max_throughput("identity", 256, 1, trace_length=10,
+                                     device_budget=budget)
+            assert (lp.offered_load, lp.lost) == (top, 0)
 
     def test_deterministic(self):
         a = find_max_throughput("identity", 256, 1, trace_length=400)
@@ -833,6 +848,14 @@ class TestCli:
         # the golden file is regenerated by running the CLI at its defaults
         path = tmp_path / "golden.csv"
         assert main(["--csv", str(path)]) == 0
+        assert path.read_bytes() == (DATA / "golden_sweep.csv").read_bytes()
+
+    def test_readme_regeneration_command(self, tmp_path):
+        # the README's command in a fresh interpreter, through cli.py's __main__ guard
+        path = tmp_path / "golden.csv"
+        subprocess.run([sys.executable, "-m", "tinyring.cli", "--csv", str(path)],
+                       cwd=DATA.parent.parent, env={**os.environ, "PYTHONPATH": "src"},
+                       check=True, capture_output=True)
         assert path.read_bytes() == (DATA / "golden_sweep.csv").read_bytes()
 
     def test_max_only(self, tmp_path, capsys):

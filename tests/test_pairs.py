@@ -7,6 +7,7 @@ import platform
 import random
 import re
 import shutil
+import statistics
 import sys
 
 import pytest
@@ -48,7 +49,8 @@ def test_each_arm_loads_the_workloads_against_its_own_copy(pairs, tmp_path, monk
 
 
 def test_a_a_run_passes_and_marks_its_intervals(pairs, tmp_path):
-    r = pairs.measure(copies(pairs, tmp_path), "burst_64b", 2, 0, random.Random(0))
+    mods = copies(pairs, tmp_path)
+    r = pairs.measure(mods, "burst_64b", 2, 0, random.Random(0))
     assert (r["workload"], r["pairs"]) == ("burst_64b", 2)
     assert r["parent_median_s"] > 0 and r["parent_setup_median_s"] > 0
     # the record: host, each arm's source hash and raw seconds per round
@@ -62,6 +64,14 @@ def test_a_a_run_passes_and_marks_its_intervals(pairs, tmp_path):
         assert sorted(raw) == ["setup_s", "timed_s"]
         assert len(raw["setup_s"]) == len(raw["timed_s"]) == 2
         assert all(t > 0 for t in raw["setup_s"] + raw["timed_s"])
+    # the workload's own perfbench parameters, at the size pairs runs it
+    assert r["params"] == mods["parent"].Burst64(500).params
+    assert sorted(r["quartiles"]) == ["aa", "change", "parent"]
+    for arm, quartiles in r["quartiles"].items():
+        for key in ("setup_s", "timed_s"):
+            q1, q2, q3 = quartiles[key]
+            assert q1 <= q2 <= q3
+            assert q2 == statistics.median(r["raw"][arm][key])
     for prefix in ("", "setup_"):
         lo, hi = r[prefix + "aa_over_parent"]["ci95"]
         assert r[prefix + "aa_holds"] is (lo <= 1.0 <= hi)

@@ -2,9 +2,9 @@
 
 Each property draws only a seed, and the seed draws the run: ring size,
 output count, device budget, trace and schedule. A relation needs no second
-implementation, only a second run. Each run reads public state alone: the
-registers through reg_read, the link counters, nic.now and the head
-write-back words at the addresses TDWBA holds.
+implementation, only a second run. Each run reads public state alone: a
+load point's result, the registers through reg_read, the link counters,
+nic.now and the head write-back words at the addresses TDWBA holds.
 """
 
 import random
@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinyring import build_pipeline, forward_trace, gen_traffic, identity, macswap, policer
+from tinyring import (build_pipeline, forward_trace, gen_traffic, identity, macswap, policer,
+                      run_load_point)
 
 SEEDS = st.integers(0, 2**32 - 1)
 NFS = {"identity": identity, "macswap": macswap, "policer": lambda: policer(100)}
@@ -62,6 +63,23 @@ def test_r1_filtering_costs_what_forwarding_costs(seed):
         forward_trace(agent, frames, processor, budget, due=due, deadline=deadline)
         states.append(public_state(env, nic, agent))
     assert states[0] == states[1]
+
+
+@pytest.mark.deep
+@settings(deadline=None)
+@given(seed=SEEDS)
+def test_r2_a_load_point_does_not_depend_on_payload_bytes(seed):
+    # the built-in network functions read lengths and only move bytes, so
+    # two traces of one frame count and size give one LoadPointResult
+    rng = random.Random(seed)
+    ring, outputs, budget = 2 ** rng.randint(1, 8), rng.randint(1, 4), rng.randint(1, 3)
+    nf = NFS[rng.choice(sorted(NFS))]
+    n, size = rng.randint(20, 300), rng.choice((12, 64, 128, 576, 1500))
+    load, other = rng.randint(1, 1200), seed ^ rng.randrange(1, 2**32)  # other != seed
+    rows = [run_load_point(load, gen_traffic(n, size, s), nf(), ring, outputs,
+                           device_budget=budget)
+            for s in (seed, other)]
+    assert rows[0] == rows[1]
 
 
 @pytest.mark.deep

@@ -17,9 +17,8 @@ PUBLIC = {
     "RegisterWriteFault", "SEARCH_GRANULARITY", "TranslationFault",
     "build_pipeline", "decode_descriptor", "encode_descriptor",
     "find_max_throughput", "forward_trace", "gen_traffic", "identity",
-    "macswap", "make_processor", "ownership", "parse_pcap", "percentile",
-    "policer", "ref_init", "run_load_point", "run_sweep", "service_rate",
-    "write_csv",
+    "macswap", "make_processor", "ownership", "parse_pcap", "policer",
+    "ref_init", "run_load_point", "run_sweep", "service_rate", "write_csv",
 }
 
 

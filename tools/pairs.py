@@ -33,11 +33,13 @@ each workload is the median over rounds of the per-round time ratio,
 change/parent and A/A (second parent copy/parent), each with a bootstrap
 95% confidence interval over rounds, for the timed part and for the
 set-up alike. A ratio below 1 means the change is faster. Each result
-also records the host (Python version and implementation, platform, CPU
-count), each arm's ``src_sha256`` (sha256 over ``src/tinyring/*.py`` in
-name order, each file's repo-relative path, a NUL byte and its bytes;
-first 16 hex digits) and each arm's raw set-up and timed seconds per
-round, in round order.
+also records the workload's perfbench ``params`` (frames per pass, ring,
+outputs and so on), the host (Python version and implementation,
+platform, CPU count), each arm's ``src_sha256`` (sha256 over
+``src/tinyring/*.py`` in name order, each file's repo-relative path, a
+NUL byte and its bytes; first 16 hex digits), each arm's raw set-up and
+timed seconds per round, in round order, and their quartiles
+(``statistics.quantiles`` with ``n=4``).
 
 Only the standard library is used. Times are host seconds, which drift
 between runs on a shared host; only a ratio taken within one process
@@ -194,11 +196,15 @@ def measure(mods: dict, name: str, pairs: int, seed: int, rng: random.Random) ->
                 raise Mismatch(f"{name} round {i}: outputs differ between trees: {arm} "
                                f"output {q} index {j} is {got!r}, parent's is {want!r}")
     result = {"workload": name, "pairs": pairs, "seed": seed,
+              "params": workloads["parent"].params,
               "python": platform.python_version(),
               "implementation": platform.python_implementation(),
               "platform": platform.platform(), "nproc": os.cpu_count(),
               "src_sha256": {arm: wl.src_sha256 for arm, wl in mods.items()},
               "raw": {arm: {"setup_s": setups[arm], "timed_s": times[arm]} for arm in mods},
+              "quartiles": {arm: {"setup_s": statistics.quantiles(setups[arm], n=4),
+                                  "timed_s": statistics.quantiles(times[arm], n=4)}
+                            for arm in mods},
               "parent_median_s": statistics.median(times["parent"]),
               "parent_setup_median_s": statistics.median(setups["parent"])}
     for prefix, samples in (("", times), ("setup_", setups)):
