@@ -41,13 +41,15 @@ an empty poll or finish(). transmit itself never sets RS. A slot goes back
 to the device only once every output is done with it, and transmit has
 already cleared its receive done bit by then, so recycling only moves the
 receive tail. Transmit progress is read from the head write-back words
-alone: recycling, quiescence and the drain bound each unwrap a word h
-against processed as processed - ((processed - h) & (S - 1)), so a
-corrupt word at or above S reads the same in all three. Like the device,
-the agent reads and writes descriptor metadata and write-back words through
-native-order word views of the arena (see tinyring.nic for why that is
-sound); each ring's first metadata word index is computed once, at
-construction.
+alone. Each queue's lag, (processed - h) & (S - 1) for its word h, is
+the one reading of that word: recycling unwraps h as processed - lag, and
+quiescence, the drain bound and the stall report (_stalled) take the lags
+from _lags, so a corrupt word at or above S reads the same in all four,
+and the report names a queue exactly when its lag is non-zero. Like the
+device, the agent reads and writes descriptor metadata and write-back
+words through native-order word views of the arena (see tinyring.nic for
+why that is sound); each ring's first metadata word index is computed
+once, at construction.
 
 poll() is the whole ring protocol in one call: it reads the receive
 descriptor, runs the processor and files the packet itself, so the only
@@ -243,7 +245,8 @@ class Agent:
         mask = self._mask
         earliest = p
         for h in self._heads:
-            # mod-size head to unwrapped: heads trail processed by < ring_size
+            # processed - lag, _lags' reading, kept inline: most empty polls
+            # enter recycle, so a list built per call would cost time
             uh = p - ((p - h) & mask)
             if uh < earliest:
                 earliest = uh
@@ -294,10 +297,10 @@ class Agent:
         self._inflight = True
         lengths = processor(self.buffers[slot], n, self.num_outputs)
         if len(lengths) != self.num_outputs:
-            raise ValueError(f"need {self.num_outputs} lengths, got {len(lengths)}")
+            _reject_output_lengths(lengths, self.num_outputs)
         for n in lengths:
             if type(n) is not int or not 0 <= n <= MAX_FRAME:
-                _reject_output_lengths(lengths)
+                _reject_output_lengths(lengths, self.num_outputs)
         off = 2 * slot
         u64 = self._u64
         for meta, n in zip(self._tx_metas, lengths):
@@ -318,12 +321,13 @@ class Agent:
 
     def _stalled(self, what: str) -> PipelineStalled:
         """The PipelineStalled that finish() and forward_trace raise, worded
-        as finish()'s docstring says: "step N: what: " and the lagging queues."""
+        as finish()'s docstring says: "step N: what: " and each queue whose
+        lag (_lags) is non-zero."""
         p = self.processed & self._mask
         nic = self.nic
         lags = []
-        for q, h in enumerate(self._heads):
-            if h != p:
+        for q, (h, lag) in enumerate(zip(self._heads, self._lags())):
+            if lag:
                 state = ("has reached its tail (a lost head write-back)"
                          if nic.reg_read("TDH", q) == nic.reg_read("TDT", q)
                          else "has not reached its tail (a stopped queue)")
@@ -332,22 +336,24 @@ class Agent:
         report = "; ".join(lags) or "no transmit queue's head write-back lags processed"
         return PipelineStalled(f"step {nic.now}: {what}: {report}")
 
+    def _lags(self) -> list[int]:
+        """Per queue, the published transmit descriptors its head write-back
+        word h does not show retired: (processed - h) & (ring_size - 1).
+        Every reader of the words but recycle() takes them from here."""
+        p, mask = self.processed, self._mask
+        return [(p - h) & mask for h in self._heads]
+
     def _owed(self) -> int:
         """The work units a device can still spend before quiescence, with
         every processed packet published and none outstanding: one per frame
         on the wire and one per published transmit descriptor that the head
         write-back does not show retired."""
-        p, mask = self.processed, self._mask
-        left = len(self.nic.link.rx_pending)
-        for h in self._heads:
-            left += (p - h) & mask
-        return left
+        return len(self.nic.link.rx_pending) + sum(self._lags())
 
     def quiescent(self) -> bool:
         """True when nothing is outstanding and every queue's head write-back
         has reached processed, which implies every packet was published."""
-        p, mask = self.processed, self._mask
-        return not self._inflight and not any((p - h) & mask for h in self._heads)
+        return not self._inflight and not any(self._lags())
 
     def finish(self, device_budget: int = 1) -> None:
         """Publish everything still pending and step the device until it drains.
@@ -412,8 +418,13 @@ def _reject_length(slot: int, n: int) -> None:
                      f"MAX_FRAME ({MAX_FRAME})")
 
 
-def _reject_output_lengths(lengths: Sequence[int]) -> None:
-    """Raise for the first bad output length; poll() calls it once it found one."""
+def _reject_output_lengths(lengths: Sequence[int], num_outputs: int) -> None:
+    """Raise ValueError unless lengths holds num_outputs integers in
+    [0, MAX_FRAME]: for a count other than num_outputs first, then for the
+    first bad length. This is the output-length rule; poll() calls it only
+    once its inline tests found a fault, RefPipeline on every result."""
+    if len(lengths) != num_outputs:
+        raise ValueError(f"need {num_outputs} lengths, got {len(lengths)}")
     for q, n in enumerate(lengths):
         if type(n) is not int or not 0 <= n <= MAX_FRAME:
             raise ValueError(f"output {q}: length {n!r} is not an integer "

@@ -41,7 +41,7 @@ import struct
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .agent import Processor, _check_geometry, build_pipeline, forward_trace
+from .agent import Processor, build_pipeline, forward_trace
 from .mem import _check_int
 from .netfuncs import make_processor
 from .nic import MAX_FRAME, MAX_QUEUES, Frame
@@ -174,20 +174,21 @@ def run_load_point(offered_load: int, frames: Sequence[Frame], nf: Processor | s
     """Measure one load point: inject frames at offered_load on a fresh pipeline.
 
     Raises ValueError, before it builds anything, for an offered_load that
-    is not a positive integer, an empty trace, an unknown network function,
-    a bad ring geometry or a device_budget that is not an integer of at
-    least 1.
+    is not a positive integer, an empty trace, an unknown network function
+    or a device_budget that is not an integer of at least 1, in that
+    order. The ring geometry rule is the agent's: build_pipeline raises
+    its ValueError for a bad ring size or output count before it builds
+    anything, and before the schedule is made.
     """
     _check_int(offered_load, "offered load", 1)
     if not frames:
         raise ValueError("the trace is empty")
     processor = make_processor(nf) if isinstance(nf, str) else nf
-    _check_geometry(ring_size, num_outputs)
     _check_int(device_budget, "device budget", 1)
+    _env, nic, agent = build_pipeline(ring_size, num_outputs)
     n = len(frames)
     deadline, warm = _deadline_and_warm(offered_load, n)
     due = [k * 1000 // offered_load for k in range(n)]
-    _env, nic, agent = build_pipeline(ring_size, num_outputs)
     forward_trace(agent, frames, processor, device_budget, due=due, deadline=deadline)
     latencies = [f.drain_time - f.inject_time for f in nic.drain_tx(0) if f.order >= warm]
     latencies.sort()

@@ -13,14 +13,22 @@ from typing import Iterable
 
 from .agent import Processor, _reject_output_lengths
 from .mem import _check_int
-from .nic import MAX_FRAME, Frame, _check_payload
+from .nic import MAX_FRAME, MAX_QUEUES, Frame, _check_payload
 
 
 class RefPipeline:
-    """One receive queue feeding num_outputs output queues through a processor."""
+    """One receive queue feeding num_outputs output queues through a processor.
+
+    It takes its rules from the code it is checked against, so the two can
+    only agree on what they accept: num_outputs must be an integer in
+    [1, MAX_QUEUES], the bound build_pipeline applies; a payload passes
+    the device's injection rule (_check_payload), and a processor result
+    the agent's output-length rule (_reject_output_lengths). What it does
+    with an accepted frame shares no code with the agent.
+    """
 
     def __init__(self, num_outputs: int, processor: Processor) -> None:
-        _check_int(num_outputs, "output count", 1)
+        _check_int(num_outputs, "output count", 1, MAX_QUEUES)
         self.num_outputs = num_outputs
         self.processor = processor
         self._buf = bytearray(MAX_FRAME)
@@ -34,8 +42,9 @@ class RefPipeline:
         at injection (not bytes, or not 1..MAX_FRAME bytes long) raises the
         same ValueError before it is copied in. Processor results that
         Agent.poll rejects (a length count other than num_outputs, or a
-        length that is not an integer in [0, MAX_FRAME]) raise its
-        ValueError before anything is appended for the frame.
+        length that is not an integer in [0, MAX_FRAME]) raise the same
+        ValueError, from the same _reject_output_lengths, before anything
+        is appended for the frame.
         """
         buf = self._buf
         outs: list[list[bytes]] = [[] for _ in range(self.num_outputs)]
@@ -45,9 +54,7 @@ class RefPipeline:
             n = len(payload)
             buf[:n] = payload
             lengths = self.processor(memoryview(buf), n, self.num_outputs)
-            if len(lengths) != self.num_outputs:
-                raise ValueError(f"need {self.num_outputs} lengths, got {len(lengths)}")
-            _reject_output_lengths(lengths)
+            _reject_output_lengths(lengths, self.num_outputs)
             for q, ln in enumerate(lengths):
                 if ln > 0:
                     outs[q].append(bytes(buf[:ln]))

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import hashlib
 import random
+import re
 import signal
 import struct
 import tracemalloc
@@ -289,7 +290,7 @@ class TestRingProtocol:
         # _reject_output_lengths's message, file nothing for a rejected
         # packet, and call _reject_output_lengths only for a rejected one
         try:
-            _reject_output_lengths(lengths)
+            _reject_output_lengths(lengths, len(lengths))
             want = None
         except ValueError as exc:
             want = str(exc)
@@ -303,9 +304,9 @@ class TestRingProtocol:
         metas = [nic.reg_read("TDBA", q) + 8 for q in range(len(lengths))]
         calls = []
 
-        def spy(ls):
+        def spy(ls, num_outputs):
             calls.append(ls)
-            _reject_output_lengths(ls)
+            _reject_output_lengths(ls, num_outputs)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tinyring.agent, "_reject_output_lengths", spy)
@@ -703,6 +704,8 @@ QUEUE_1_STOPPED = (QUEUE_1_LAGS
                    + r"and its device head has not reached its tail \(a stopped queue\)$")
 QUEUE_1_LOST = (QUEUE_1_LAGS
                 + r"and its device head has reached its tail \(a lost head write-back\)$")
+QUEUE_0_STOPPED = (r": queue 0's head write-back reads slot 0, not slot 3 \(processed 3\), "
+                   r"and its device head has not reached its tail \(a stopped queue\)$")
 
 
 class TestStalledPipeline:
@@ -747,6 +750,54 @@ class TestStalledPipeline:
                            match=rf": queue 1's head write-back .* {stopped}; "
                                  rf"queue 2's head write-back .* {stopped}$"):
             forward_trace(agent, gen_traffic(32, 64, 1), identity())
+
+    def test_a_word_that_unwraps_to_processed_is_not_reported(self):
+        # queue 1's word reads 11 on ring 8: at or above the ring size, but
+        # its lag (3 - 11) & 7 is 0, as recycling, quiescence and the drain
+        # bound read it, so the report names the stopped queue 0 alone
+        env, nic, agent = make(ring_size=8, num_outputs=2)
+        nic.reg_write("TXEN", 0, 0)
+        for frame in gen_traffic(3, 64, 1):
+            nic.inject_rx(frame)
+        with pytest.raises(PipelineStalled, match=QUEUE_0_STOPPED):
+            agent.run(identity(), max_packets=3)
+        struct.pack_into("<I", env.dma, nic.reg_read("TDWBA", 1), 11)
+        assert agent.processed == 3 and not agent.quiescent()
+        with pytest.raises(PipelineStalled, match=QUEUE_0_STOPPED):
+            agent.finish()
+
+    # the example count is left to the profile, so CI's deep pass runs ten times more
+    @pytest.mark.deep
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_the_report_names_exactly_the_queues_that_lag(self, seed):
+        # every packet published and drained, then every transmit queue
+        # disabled and its head write-back word overwritten: finish() returns
+        # exactly when every lag (processed - word) & (ring - 1) is 0, and
+        # otherwise names exactly the queues whose lag is not
+        rng = random.Random(seed)
+        ring = 1 << rng.randrange(1, 7)
+        outputs = rng.randrange(1, 5)
+        env, nic, agent = make(ring_size=ring, num_outputs=outputs)
+        forward_trace(agent, gen_traffic(rng.randrange(3 * ring), 64, 1), identity())
+        p = agent.processed
+        lagging = []
+        for q in range(outputs):
+            nic.reg_write("TXEN", 0, q)
+            if rng.randrange(2):  # a word that unwraps to processed, mostly one >= ring
+                word = (p & (ring - 1)) + ring * rng.randrange(2**32 // ring)
+            else:
+                word = rng.getrandbits(32)
+            struct.pack_into("<I", env.dma, nic.reg_read("TDWBA", q), word)
+            if (p - word) & (ring - 1):
+                lagging.append(q)
+        if not lagging:
+            agent.finish()
+            return
+        with pytest.raises(PipelineStalled) as info:
+            agent.finish()
+        named = re.findall(r"queue (\d+)'s head write-back reads", str(info.value))
+        assert [int(q) for q in named] == lagging
 
 
 class StuckHeadNic(Nic):

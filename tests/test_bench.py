@@ -606,11 +606,14 @@ class TestProbeSetUp:
     a ValueError raised before any pipeline is built."""
 
     def counted_builds(self, mp):
+        # a build counts once build_pipeline returns one: a call whose ring
+        # geometry it rejects raises before it builds anything
         builds = []
 
         def counting(*args, _build=bench.build_pipeline):
+            built = _build(*args)
             builds.append(args)
-            return _build(*args)
+            return built
         mp.setattr(bench, "build_pipeline", counting)
         return builds
 

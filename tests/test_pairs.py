@@ -8,6 +8,7 @@ import random
 import re
 import shutil
 import statistics
+import subprocess
 import sys
 
 import pytest
@@ -60,6 +61,10 @@ def test_a_a_run_passes_and_marks_its_intervals(pairs, tmp_path):
     assert sorted(r["src_sha256"]) == sorted(r["raw"]) == ["aa", "change", "parent"]
     assert r["src_sha256"]["parent"] == r["src_sha256"]["aa"]
     assert re.fullmatch("[0-9a-f]{16}", r["src_sha256"]["parent"])
+    # each arm's commit and src/ state, the same for three arms of one tree
+    assert sorted(r["commit"]) == sorted(r["dirty"]) == ["aa", "change", "parent"]
+    for arm in r["commit"]:
+        assert (r["commit"][arm], r["dirty"][arm]) == pairs.tree_commit(ROOT)
     for raw in r["raw"].values():
         assert sorted(raw) == ["setup_s", "timed_s"]
         assert len(raw["setup_s"]) == len(raw["timed_s"]) == 2
@@ -77,6 +82,37 @@ def test_a_a_run_passes_and_marks_its_intervals(pairs, tmp_path):
         assert r[prefix + "aa_holds"] is (lo <= 1.0 <= hi)
         void = "VOID (A/A misses 1.0)" in pairs.ratios(r, prefix)
         assert void is not r[prefix + "aa_holds"]
+
+
+def test_commit_and_dirty_come_from_the_trees_own_checkout(pairs, tmp_path):
+    tree = tmp_path / "tree"
+    shutil.copytree(os.path.join(ROOT, "src", "tinyring"), tree / "src" / "tinyring",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert pairs.tree_commit(str(tree)) == (None, None)  # not a checkout
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tree), "-c", "user.name=t",
+                               "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false",
+                               *args], capture_output=True, text=True, check=True).stdout
+    git("init", "-q")
+    assert pairs.tree_commit(str(tree)) == (None, None)  # a checkout with no commit yet
+    git("add", "-A")
+    git("commit", "-q", "-m", "tree")
+    head = git("rev-parse", "HEAD").strip()
+    assert re.fullmatch("[0-9a-f]{40}", head)
+    assert pairs.tree_commit(str(tree)) == (head, False)
+    (tree / "notes.txt").write_text("outside src/")
+    assert pairs.tree_commit(str(tree)) == (head, False)
+    (tree / "src" / "extra.py").write_text("")  # an untracked file under src/
+    assert pairs.tree_commit(str(tree)) == (head, True)
+    os.remove(tree / "src" / "extra.py")
+    with open(tree / "src" / "tinyring" / "agent.py", "a") as fh:
+        fh.write("\n")
+    assert pairs.tree_commit(str(tree)) == (head, True)
+    # a tree inside another checkout is not that checkout's commit
+    inner = tree / "inner"
+    shutil.copytree(tree / "src", inner / "src")
+    assert pairs.tree_commit(str(inner)) == (None, None)
 
 
 def mutant_tree(tmp_path, module, old, new):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinyring import (MAX_FRAME, Frame, MemEnv, Nic, RefPipeline, identity, macswap,
-                      policer, ref_init)
+from tinyring import (MAX_FRAME, Frame, MemEnv, Nic, RefPipeline, build_pipeline, identity,
+                      macswap, policer, ref_init)
 
 
 class TestInit:
@@ -26,6 +26,17 @@ class TestInit:
     def test_non_integer_output_count_rejected(self, outputs):
         with pytest.raises(ValueError, match="output count"):
             RefPipeline(outputs, identity())
+
+    def test_output_count_bound_is_the_pipelines(self):
+        # the oracle takes the pipeline's bound, so it never forwards on an
+        # output the device cannot have
+        with pytest.raises(ValueError) as pipeline:
+            build_pipeline(8, 9)
+        with pytest.raises(ValueError) as oracle:
+            RefPipeline(9, identity())
+        assert str(oracle.value) == str(pipeline.value)
+        assert str(oracle.value) == "output count must be an integer in [1, 8], got 9"
+        assert RefPipeline(8, identity()).process_trace([]) == [[]] * 8
 
     def test_output_queue_count(self):
         pipe = RefPipeline(3, identity())

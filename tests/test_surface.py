@@ -1,11 +1,17 @@
-"""The public surface: exactly the names in __all__, and perfbench needs no other."""
+"""The public surface: exactly the names in __all__, perfbench needs no other,
+and the modules above the agent take no private name but the shared rules."""
 
 import ast
 import pathlib
 
 import tinyring
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+SRC = ROOT / "src" / "tinyring"
+
+# the private helpers that each state one rule for every module that applies it
+SHARED_RULES = {"_check_int", "_check_payload", "_reject_output_lengths"}
 
 PUBLIC = {
     "Agent", "CSV_HEADER", "DEFAULT_PAGE_SIZE", "DESC_BYTES",
@@ -66,3 +72,19 @@ def test_perfbench_uses_only_public_names():
     for name, attr in uses:
         if attr is not None:
             assert callable(getattr(getattr(tinyring, name), attr)), (name, attr)
+
+
+def test_upper_modules_take_only_the_shared_rules():
+    # the bench, the CLI, the oracle and the network functions call the
+    # module that states a check; a private name beyond the shared rules
+    # means a copy of some other check, or a reach into its internals
+    taken = {}
+    for module in ("bench.py", "cli.py", "reference.py", "netfuncs.py"):
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        taken.setdefault(alias.name, []).append(module)
+    assert "reference.py" in taken.get("_reject_output_lengths", [])  # the walk sees imports
+    assert set(taken) <= SHARED_RULES, taken

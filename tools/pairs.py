@@ -37,7 +37,10 @@ also records the workload's perfbench ``params`` (frames per pass, ring,
 outputs and so on), the host (Python version and implementation,
 platform, CPU count), each arm's ``src_sha256`` (sha256 over
 ``src/tinyring/*.py`` in name order, each file's repo-relative path, a
-NUL byte and its bytes; first 16 hex digits), each arm's raw set-up and
+NUL byte and its bytes; first 16 hex digits), each arm's ``commit``
+(``git rev-parse HEAD`` in the tree, null unless the tree is the top of a
+git checkout) and ``dirty`` (whether ``git status`` shows changes under
+``src/`` there, null with the commit), each arm's raw set-up and
 timed seconds per round, in round order, and their quartiles
 (``statistics.quantiles`` with ``n=4``).
 
@@ -60,6 +63,7 @@ import platform
 import random
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -100,10 +104,28 @@ def src_sha256(pkg: str) -> str:
     return h.hexdigest()[:16]
 
 
+def tree_commit(tree: str) -> tuple[str | None, bool | None]:
+    """The commit checked out at tree and whether src/ has uncommitted
+    changes there (untracked files included); (None, None) unless tree is
+    the top of a git checkout with a commit, so that an archive unpacked
+    inside some other checkout does not report that checkout's commit."""
+    def git(*args: str) -> list[str]:
+        return subprocess.run(["git", "-C", tree, *args], capture_output=True, text=True,
+                              check=True).stdout.splitlines()
+    try:
+        top, head = git("rev-parse", "--show-toplevel", "HEAD")
+        if os.path.realpath(top) != os.path.realpath(tree):
+            return None, None
+        return head, bool(git("status", "--porcelain", "--", "src"))
+    except (OSError, subprocess.CalledProcessError):
+        return None, None
+
+
 def load_copies(trees: dict[str, str], tmp: str) -> dict:
     """Copy each tree's src/tinyring into tmp as tr_<arm> and import it, then
     load perfbench's workloads against it as workloads_<arm>; returns the
-    workloads modules by arm, each with the tree's src_sha256 bound.
+    workloads modules by arm, each with the tree's src_sha256, commit and
+    dirty bound.
 
     workloads.py binds ``tinyring`` at import, so that name points at the
     arm's copy only while the module runs, and its previous binding (or its
@@ -131,6 +153,7 @@ def load_copies(trees: dict[str, str], tmp: str) -> dict:
                 sys.modules["tinyring"] = bound
         wl.OUT_DIR = tmp  # the sweep's CSV and the directory it makes, out of perfbench/
         wl.src_sha256 = src_sha256(pkg)
+        wl.commit, wl.dirty = tree_commit(tree)
         mods[arm] = wl
     return mods
 
@@ -201,6 +224,8 @@ def measure(mods: dict, name: str, pairs: int, seed: int, rng: random.Random) ->
               "implementation": platform.python_implementation(),
               "platform": platform.platform(), "nproc": os.cpu_count(),
               "src_sha256": {arm: wl.src_sha256 for arm, wl in mods.items()},
+              "commit": {arm: wl.commit for arm, wl in mods.items()},
+              "dirty": {arm: wl.dirty for arm, wl in mods.items()},
               "raw": {arm: {"setup_s": setups[arm], "timed_s": times[arm]} for arm in mods},
               "quartiles": {arm: {"setup_s": statistics.quantiles(setups[arm], n=4),
                                   "timed_s": statistics.quantiles(times[arm], n=4)}
